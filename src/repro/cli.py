@@ -257,12 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--hedge-delay", type=float, default=0.05,
                        help="head start the primary gets before a "
                             "cache-warm batch is hedged at the "
-                            "secondary (default 0.05)")
+                            "secondary owner; hedging needs "
+                            "--replication-factor 2 (default 0.05)")
     route.add_argument("--no-hedging", action="store_true",
                        help="disable hedged reads for warm batches")
-    route.add_argument("--redirect", action="store_true",
-                       help="307-redirect single-shard batches to the "
-                            "owning replica instead of proxying")
     route.add_argument("--local-registry", default=None,
                        help="registry directory for the degraded-mode "
                             "local fallback service (omit to answer "
@@ -885,7 +883,6 @@ def build_router_server(args):
         circuit_reset_s=args.circuit_reset,
         hedge_delay_s=args.hedge_delay,
         hedging=not args.no_hedging,
-        redirect=args.redirect,
         request_timeout_s=args.request_timeout)
     server = make_router_server(router, args.host, args.port,
                                 socket_timeout=args.socket_timeout)

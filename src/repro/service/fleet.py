@@ -10,8 +10,9 @@ machines), its own HTTP server on an ephemeral port, and a stable
 harness (``benchmarks/run_fleet_chaos.py``) uses real subprocesses
 instead, because SIGKILL is the point there.
 
-``kill(i)`` stops one replica's HTTP server abruptly (no drain), which
-is how tests exercise failover without process machinery.
+``kill(i)`` stops one replica's HTTP server abruptly (no drain) and
+hangs up its open keep-alive connections, which is how tests exercise
+failover without process machinery.
 """
 
 from __future__ import annotations

@@ -29,9 +29,15 @@ well-formed ``500 {"error": ...}`` reply — and if the failure happens
 *after* the response headers already went out, the connection is closed
 instead of double-sending (the one case no status code can fix).
 
-The server is a ``ThreadingHTTPServer``; batches from different
-connections genuinely execute concurrently (the service only owns the
-simulated-backend executor exclusively), and a
+The server is a ``ThreadingHTTPServer`` speaking HTTP/1.1 with
+keep-alive: a client's sequential requests share one connection (and
+one handler thread) instead of paying a TCP set-up each, and an idle
+connection closes when the socket timeout fires.  A reply that ends its
+connection (408, protocol errors, a request body left unread) says so
+with ``Connection: close``; ``server_close()`` hangs up every
+connection still open, so a stopped server looks dead to its callers.
+Batches from different connections genuinely execute concurrently (the
+service only owns the simulated-backend executor exclusively), and a
 :class:`~repro.service.admission.RequestGateway` in front of
 ``/evaluate`` bounds how many are in flight.  The admission contract on
 the wire:
@@ -48,6 +54,8 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -78,14 +86,34 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto an :class:`EvaluationService`."""
 
     server_version = "ProphetService/1.0"
+    protocol_version = "HTTP/1.1"  # keep-alive
     service: EvaluationService  # injected by make_server
     gateway: RequestGateway | None = None  # injected by make_server
     quiet = True
     # socketserver applies this as the connection's socket timeout in
     # setup(); without it a client that declares Content-Length N and
     # sends fewer bytes parks rfile.read() — and its handler thread —
-    # forever.
+    # forever.  It also closes a keep-alive connection left idle.
     timeout = DEFAULT_SOCKET_TIMEOUT
+
+    def setup(self) -> None:
+        super().setup()
+        self.service.metrics.counter(
+            "http_connections_total",
+            "HTTP connections accepted (keep-alive requests share "
+            "one).").inc()
+
+    def handle_one_request(self) -> None:
+        # Per-request state: on a persistent connection the previous
+        # request's flags must not leak into this one.
+        self._response_sent = False
+        self._body_read = False
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            # The peer hung up between requests (a client dropping its
+            # pooled connection): the connection's end, not an error.
+            self.close_connection = True
 
     # -- routing -------------------------------------------------------------
 
@@ -108,7 +136,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, method: str) -> None:
-        self._response_sent = False
         start = time.perf_counter()
         route = "unknown"
         status = 500
@@ -129,11 +156,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                             headers=_retry_after_header(exc.retry_after))
             except RequestTimeoutError as exc:
                 status = 408
-                self._reply(408, {"error": str(exc)})
                 # The connection's byte stream is desynchronized (we
                 # read fewer body bytes than declared); keep-alive
                 # would misparse the remainder as a new request line.
                 self.close_connection = True
+                self._reply(408, {"error": str(exc)})
             except AnalysisError as exc:
                 # The model parses and validates but the static
                 # analyzer proved it broken (deadlock, bad peer):
@@ -260,6 +287,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise RequestTimeoutError(
                 f"request body ended after {len(raw)} of the declared "
                 f"{length} bytes")
+        self._body_read = True
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -277,14 +305,31 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                    content_type: str,
                    headers: dict[str, str] | None = None) -> int:
         self._response_sent = True
+        if self._body_left_unread():
+            # The unread bytes would be parsed as the next request.
+            self.close_connection = True
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # Status line, headers and body leave in one write (not
+        # end_headers() + a body write): a reader never sees a status
+        # line without its body, and on a persistent connection the
+        # body never waits for the peer's delayed ACK of the headers.
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + data if head else data)
         return status
+
+    def _body_left_unread(self) -> bool:
+        """Whether request-body bytes still sit on the connection."""
+        if self.close_connection or self._body_read:
+            return False
+        declared = self.headers.get("Content-Length", "0").strip()
+        return declared != "0" or "Transfer-Encoding" in self.headers
 
     def send_error(self, code, message=None, explain=None):  # noqa: D102
         # http.server calls this for protocol-level failures we never
@@ -295,11 +340,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         detail = message or self.responses.get(code, ("", ""))[0]
         body = {"error": f"{detail}" if detail else f"HTTP {code}"}
+        self.close_connection = True
         try:
             self._reply(code, body)
         except OSError:
             pass
-        self.close_connection = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:
@@ -318,9 +363,40 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     (new ``/evaluate`` posts get ``503`` + ``Retry-After``), then wait
     for every in-flight batch to finish.  ``shutdown()`` — stopping the
     accept loop — remains the caller's move afterwards.
+
+    The server tracks its accepted connections: ``server_close()``
+    hangs up every one still open, so keep-alive callers see a closed
+    server as dead (and fail over) instead of being answered by
+    handler threads that outlive it.
     """
 
     gateway: RequestGateway | None = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        # Set before binding: a failed bind calls server_close().
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer hung up first
 
     def drain(self, timeout: float | None = None) -> bool:
         if self.gateway is None:

@@ -20,6 +20,11 @@ instance, several client threads at once.  Three phases:
    concurrent posts than it admits; the surplus must come back as
    ``429`` + ``Retry-After`` well within the socket timeout, not hang.
 
+Each latency run also records how many connections the server accepted
+(``http_connections_total``) against its client threads and batches:
+with keep-alive every client's batches share one connection, which the
+``loadgen-smoke`` CI leg asserts.
+
 Timing numbers are reported, never asserted; the identity, malformed-
 response, and overload contracts are hard (a violation raises, failing
 ``prophet bench`` and the ``loadgen-smoke`` CI leg).
@@ -141,6 +146,7 @@ def _measure_phase(root: Path, serialize: bool, *,
     server_thread.start()
 
     latencies: list[float] = []
+    heavy_batches = 0
     problems: list[str] = []
     stop_heavy = threading.Event()
     lock = threading.Lock()
@@ -174,6 +180,7 @@ def _measure_phase(root: Path, serialize: bool, *,
                             f"for {key}")
 
     def heavy_worker() -> None:
+        nonlocal heavy_batches
         client = ServiceClient(f"http://{host}:{port}",
                                client_id="heavy")
         seed = 1_000
@@ -181,6 +188,7 @@ def _measure_phase(root: Path, serialize: bool, *,
             seed += 1
             try:
                 client.evaluate(_heavy_batch(ref, seed))
+                heavy_batches += 1
             except ServiceClientError as exc:
                 with lock:
                     problems.append(f"heavy request failed: {exc}")
@@ -201,6 +209,8 @@ def _measure_phase(root: Path, serialize: bool, *,
     server.server_close()
     server_thread.join()
     service.close()
+    connections = service.metrics.counter(
+        "http_connections_total", "HTTP connections accepted.").value
 
     if problems:
         raise RuntimeError(
@@ -210,6 +220,9 @@ def _measure_phase(root: Path, serialize: bool, *,
                           for i in range(rounds)) * workers
     return {
         "batches": len(latencies),
+        "heavy_batches": heavy_batches,
+        "clients": workers + 1,
+        "connections": int(connections),
         "requests": requests_served,
         "wall_s": round(wall, 4),
         "throughput_rps": round(requests_served / wall, 1),

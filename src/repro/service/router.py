@@ -25,9 +25,11 @@ Failure handling is layered:
   per-request error entry in a 200 batch (207 in spirit: partial
   results instead of a blanket 502).
 * **Hedged reads** — a batch the router has served successfully before
-  is cache-warm on its owner; with two healthy owners the router fires
-  the secondary after ``hedge_delay_s`` and takes whichever answers
-  first (results are deterministic, so either answer is *the* answer).
+  is cache-warm on its owners; with two healthy owners (so only with
+  ``replication_factor`` 2) the router fires the secondary after
+  ``hedge_delay_s`` and takes whichever answers first (results are
+  deterministic, so either answer is *the* answer).  A non-owner's
+  cache is cold for the shard, so it is never hedged to.
 
 Admission rejections (429/503) from any replica are honoured through
 the one shared :class:`~repro.sweep.resilient.RetryPolicy`: the
@@ -38,6 +40,11 @@ sweep dispatcher use.
 Every forwarded result is annotated with the serving ``replica`` id
 (and ``degraded``/``hedged`` markers where they apply); the payload
 keys themselves stay byte-identical to a direct single-service run.
+
+Each replica's :class:`~repro.service.client.ServiceClient` keeps a
+pool of keep-alive connections shared by the router's handler threads
+and its hedge pool, so a forward reuses a warm connection instead of
+dialling one.
 """
 
 from __future__ import annotations
@@ -181,7 +188,6 @@ class ShardRouter:
                  circuit_reset_s: float = DEFAULT_CIRCUIT_RESET_S,
                  hedge_delay_s: float = DEFAULT_HEDGE_DELAY_S,
                  hedging: bool = True,
-                 redirect: bool = False,
                  request_timeout_s: float = 60.0,
                  retry_policy: RetryPolicy | None = None) -> None:
         if not replica_urls:
@@ -197,7 +203,6 @@ class ShardRouter:
         self.circuit_reset_s = circuit_reset_s
         self.hedge_delay_s = hedge_delay_s
         self.hedging = hedging
-        self.redirect = redirect
         self.retry_policy = retry_policy or RetryPolicy(
             max_retries=0, base_delay_s=0.05, max_delay_s=1.0)
         self._retry_rng = random.Random(self.retry_policy.seed)
@@ -375,11 +380,11 @@ class ShardRouter:
         signature = _batch_signature(payload)
         chain = self._chain(self.shard_key(sample.model_ref))
         now = time.monotonic()
-        available = [replica for replica in chain
-                     if replica.available(now)]
-        if self.hedging and len(available) >= 2 \
+        owners = [replica for replica in chain[:self.replication_factor]
+                  if replica.available(now)]
+        if self.hedging and len(owners) == 2 \
                 and self._is_warm(signature):
-            response = self._hedged(available[0], available[1], payload)
+            response = self._hedged(owners[0], owners[1], payload)
             if response is not None:
                 return response
         attempt = 0
@@ -504,22 +509,6 @@ class ShardRouter:
             while len(self._warm) > _WARM_LIMIT:
                 self._warm.pop(next(iter(self._warm)))
 
-    def redirect_target(self,
-                        requests: Sequence[EvaluationRequest]
-                        ) -> str | None:
-        """URL to 307 a single-shard batch to (redirect mode only)."""
-        if not self.redirect or not requests:
-            return None
-        owners = {self.shard_map.owners(
-            self.shard_key(request.model_ref), 1)[0]
-            for request in requests}
-        if len(owners) != 1:
-            return None
-        replica = self.replicas[owners.pop()]
-        if not replica.available(time.monotonic()):
-            return None
-        return replica.base_url + "/evaluate"
-
     # -- ingest ---------------------------------------------------------------
 
     def ingest(self, body: dict) -> dict:
@@ -613,6 +602,9 @@ class ShardRouter:
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False)
             self._hedge_pool = None
+        for replica in self.replicas.values():
+            replica.client.close()
+            replica.probe_client.close()
 
 
 def _batch_signature(payload: list[dict]) -> str:
@@ -695,10 +687,6 @@ class RouterRequestHandler(ServiceRequestHandler):
         from repro.service.request import requests_from_payload
         body = self._read_json()
         requests = requests_from_payload(body.get("requests"))
-        target = self.router.redirect_target(requests)
-        if target is not None:
-            return self._reply_raw(307, b"", "application/json",
-                                   headers={"Location": target})
         return self._reply(200, self.router.submit(
             requests, client_id=self.headers.get("X-Client-Id")))
 

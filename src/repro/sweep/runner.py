@@ -988,8 +988,11 @@ def run_jobs(jobs: Sequence[SweepJob],
         for result in results:
             campaign.record(key_of[result.job.index], result.status,
                             result.error)
+    # ``is not None``, not truthiness: ``ResultCache.__len__`` globs
+    # the whole cache directory, and an empty cache is still a cache.
     return SweepResult(results,
-                       cache_stats=cache.stats if cache else None)
+                       cache_stats=cache.stats if cache is not None
+                       else None)
 
 
 #: Outcome bookkeeping keys that must not leak into cached payloads.

@@ -1,8 +1,12 @@
 """HTTP front end: endpoints, error mapping, client round trip."""
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -21,16 +25,40 @@ def served(tmp_path):
     """A live server on an ephemeral port + a client bound to it."""
     service = EvaluationService(tmp_path / "registry",
                                 cache=tmp_path / "cache")
-    server = make_server(service, port=0)
+    url, stop = start_server(service)
+    try:
+        yield ServiceClient(url), service
+    finally:
+        stop()
+
+
+def start_server(service, **knobs):
+    """A live server on an ephemeral port; returns (url, stop)."""
+    server = make_server(service, port=0, **knobs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    try:
-        yield ServiceClient(f"http://{host}:{port}"), service
-    finally:
+
+    def stop():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+    return f"http://{host}:{port}", stop
+
+
+def accepted_connections(service) -> float:
+    return service.metrics.counter("http_connections_total", "").value
+
+
+def raw_reply(sock: socket.socket, request: bytes
+              ) -> http.client.HTTPResponse:
+    """Send ``request`` on ``sock`` and read exactly one reply."""
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    response.read()
+    return response
 
 
 class TestEndpoints:
@@ -88,9 +116,7 @@ class TestErrorMapping:
 
     def test_malformed_json_is_400(self, served):
         client, _ = served
-        request = urllib.request.Request(
-            client.base_url + "/evaluate", data=b"{not json",
-            headers={"Content-Type": "application/json"})
+        request = client._request("POST", "/evaluate", b"{not json")
         with pytest.raises(ServiceClientError, match="not JSON"):
             client._call(request)
 
@@ -147,23 +173,27 @@ class TestErrorMapping:
         with pytest.raises(ServiceClientError, match="cannot reach"):
             client.health()
 
-    def test_peer_dying_mid_response_is_a_transport_error(
-            self, monkeypatch):
+    def test_peer_dying_mid_response_is_a_transport_error(self):
         """Regression: a replica SIGKILLed mid-response surfaces as
         ``http.client.IncompleteRead``, which must map to a transport
         ``ServiceClientError`` (status None) so retries and the shard
         router's failover see it — not escape as a raw exception."""
-        import http.client
-        import urllib.request
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def torn_reply() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b"HTTP/1.1 200 OK\r\n"
+                                 b"Content-Length: 2217\r\n\r\n{")
 
-        def torn_read(*args, **kwargs):
-            raise http.client.IncompleteRead(b"", expected=2217)
-
-        monkeypatch.setattr(urllib.request, "urlopen", torn_read)
-        client = ServiceClient("http://127.0.0.1:1", timeout=0.5)
-        with pytest.raises(ServiceClientError,
-                           match="cannot reach") as excinfo:
-            client.health()
+            peer = threading.Thread(target=torn_reply, daemon=True)
+            peer.start()
+            port = listener.getsockname()[1]
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5)
+            with pytest.raises(ServiceClientError,
+                               match="cannot reach") as excinfo:
+                client.health()
+            peer.join(timeout=5)
         assert excinfo.value.status is None
 
     def test_handler_crash_returns_json_500(self, served):
@@ -191,6 +221,58 @@ class TestErrorMapping:
         body = json.loads(excinfo.value.read().decode("utf-8"))
         assert "error" in body
         assert client.health()["status"] == "ok"
+
+
+class TestKeepAlive:
+    def test_sequential_calls_share_one_connection(self, served):
+        client, service = served
+        record = client.ingest_sample("kernel6")
+        for processes in (1, 2, 3):
+            client.evaluate([{"model_ref": record["ref"],
+                              "params": {"processes": processes}}])
+        client.health()
+        assert accepted_connections(service) == 1
+
+    def test_idle_connection_closed_by_server_is_redialled(
+            self, tmp_path):
+        service = EvaluationService(tmp_path / "registry")
+        url, stop = start_server(service, socket_timeout=0.2)
+        try:
+            client = ServiceClient(url)
+            client.health()
+            time.sleep(0.6)  # the server closes the idle connection
+            assert client.health()["status"] == "ok"
+            assert accepted_connections(service) == 2
+        finally:
+            stop()
+
+    def test_closed_server_hangs_up_open_connections(self, tmp_path):
+        service = EvaluationService(tmp_path / "registry")
+        url, stop = start_server(service)
+        client = ServiceClient(url, timeout=5)
+        client.health()  # leaves a pooled connection open
+        stop()
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.health()
+        assert excinfo.value.status is None
+
+    def test_only_replies_that_end_the_connection_say_close(self, served):
+        client, _ = served
+        parts = urllib.parse.urlsplit(client.base_url)
+        address = (parts.hostname, parts.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            for _ in range(2):
+                response = raw_reply(
+                    sock, b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert response.status == 200
+                assert response.getheader("Connection") is None
+        with socket.create_connection(address, timeout=5) as sock:
+            # The unread body would be parsed as the next request.
+            response = raw_reply(
+                sock, b"POST /nope HTTP/1.1\r\nHost: t\r\n"
+                      b"Content-Length: 5\r\n\r\nhello")
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
 
 
 class TestMetricsEndpoint:

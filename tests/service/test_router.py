@@ -2,6 +2,7 @@
 
 import collections
 import threading
+import time
 
 import pytest
 
@@ -206,6 +207,22 @@ class TestFailover:
 
 
 class TestHedging:
+    def test_single_owner_warm_batch_is_not_hedged(self, fleet):
+        """With replication factor 1 the shard has one owner; every
+        other replica's cache is cold for it, so nothing is hedged."""
+        client = routed_client(fleet, hedge_delay_s=0.0)
+        record = client.ingest_sample("kernel6")
+        batch = [{"model_ref": record["ref"]}]
+        client.evaluate(batch)  # cold: marks the signature warm
+        [result] = client.evaluate(batch)["results"]
+        assert result["status"] == "ok"
+        assert "hedged" not in result
+        assert result["replica"] == fleet.router.shard_map.owners(
+            record["ref"])[0]
+        hedges = fleet.router.metrics.counter(
+            "router_hedges_total", "", labelnames=("winner",))
+        assert sum(child.value for child in hedges.children()) == 0
+
     def test_warm_batch_is_hedged(self, fleet):
         client = routed_client(fleet, replication_factor=2,
                                hedge_delay_s=0.0)
@@ -235,28 +252,39 @@ class TestHedging:
         assert result["replica"] != owner
 
 
-class TestRedirectMode:
-    def test_client_follows_307_to_owning_replica(self, fleet):
-        client = routed_client(fleet, redirect=True)
+class TestPersistentConnections:
+    def test_idle_closed_connection_is_redialled_not_a_failure(
+            self, fleet):
+        for server in fleet.servers:
+            server.RequestHandlerClass.timeout = 0.2  # idle close
+        client = routed_client(fleet, circuit_threshold=1)
         record = client.ingest_sample("kernel6")
-        response = client.evaluate([{"model_ref": record["ref"]}])
-        [result] = response["results"]
+        batch = [{"model_ref": record["ref"]}]
+        client.evaluate(batch)
+        owner = fleet.router.shard_map.owners(record["ref"])[0]
+        service = fleet.services[int(owner[1:])]
+        before = service.metrics.counter(
+            "http_connections_total", "").value
+        time.sleep(0.6)  # the owner closes the router's idle connection
+        [result] = client.evaluate(batch)["results"]
         assert result["status"] == "ok"
-        # A redirected submit answers from the replica directly, so
-        # there is no router-stamped replica marker.
-        assert "replica" not in result
+        assert result["replica"] == owner
+        replica = fleet.router.replicas[owner]
+        assert replica.healthy and replica.consecutive_failures == 0
+        assert service.metrics.counter(
+            "http_connections_total", "").value == before + 1
 
-    def test_multi_shard_batch_is_not_redirected(self, fleet):
-        client = routed_client(fleet, redirect=True)
-        refs = [client.ingest_sample(kind)["ref"]
-                for kind in ("kernel6", "sample", "pipeline")]
-        owners = {fleet.router.shard_map.owners(
-            fleet.router.shard_key(ref))[0] for ref in refs}
-        if len(owners) == 1:  # pragma: no cover — hash-dependent
-            pytest.skip("all samples landed on one shard")
-        response = client.evaluate([{"model_ref": ref} for ref in refs])
-        assert all(r["status"] == "ok" for r in response["results"])
-        assert all("replica" in r for r in response["results"])
+    def test_kill_fails_over_despite_a_warm_connection(self, fleet):
+        client = routed_client(fleet)
+        record = client.ingest_sample("kernel6")
+        batch = [{"model_ref": record["ref"]}]
+        client.evaluate(batch)  # the router keeps a warm connection
+        owner = fleet.router.shard_map.owners(record["ref"])[0]
+        fleet.kill(int(owner[1:]))
+        [result] = client.evaluate(batch)["results"]
+        assert result["status"] == "ok"
+        assert result["replica"] != owner
+        assert "degraded" not in result
 
 
 class TestRouterEndpoints:

@@ -73,6 +73,24 @@ class TestAcceptanceRoundTrip:
             assert {k: first[k] for k in RESULT_PAYLOAD_KEYS} == \
                 {k: second[k] for k in RESULT_PAYLOAD_KEYS}
 
+    def test_warm_submit_never_enumerates_the_cache(self, service,
+                                                    monkeypatch):
+        """A cache-warm batch costs lookups of its own keys only —
+        never a scan of the whole cache directory."""
+        from repro.sweep.cache import ResultCache
+        record = service.ingest_sample("kernel6")
+        requests = [EvaluationRequest(model_ref=record.ref, backend=b,
+                                      params={"processes": p})
+                    for b in ("analytic", "codegen") for p in (1, 2)]
+        service.submit(requests)
+
+        def scan(self):
+            raise AssertionError("the cache directory was enumerated")
+
+        monkeypatch.setattr(ResultCache, "_entries", scan)
+        warm = service.submit(requests)
+        assert warm.stats["cache_hits"] == len(requests)
+
 
 class TestBatchSemantics:
     def test_duplicates_share_one_evaluation(self, service):

@@ -143,6 +143,16 @@ class TestCaching:
         assert [r.ok for r in result] == [True]
         assert cache.stats.invalid == 1
 
+    def test_empty_cache_still_reports_stats(self, tmp_path):
+        """An empty cache is still a cache: a sweep that writes nothing
+        (its only point fails) reports its lookups, not ``None``."""
+        cache = ResultCache(tmp_path)
+        result = run_sweep(make_spec(build_frail_model(),
+                                     overrides={"D": [0]}), cache=cache)
+        assert len(cache) == 0
+        assert result.cache_stats is not None
+        assert result.cache_stats.misses == 1
+
     def test_seed_and_backend_partition_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_sweep(kernel_spec(backends=["codegen"], seeds=[0]),
