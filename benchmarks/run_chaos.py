@@ -143,10 +143,29 @@ def sweep_command(cache_dir: Path, smoke: bool) -> list[str]:
             "--cache-dir", str(cache_dir), "--no-table"]
 
 
-def journal_entries(path: Path) -> dict:
+def journal_entries(path: Path) -> set[str]:
+    """The distinct point keys a campaign journal holds.
+
+    The journal is sealed JSON lines — a header, an optional
+    fingerprint line, then one ``{"key", "status"}`` record per point
+    (the last record for a key wins).  A live campaign may be caught
+    mid-append, so a torn or unparseable last line is skipped.
+    """
     if not path.is_file():
-        return {}
-    return json.loads(path.read_text(encoding="utf-8"))["entries"]
+        return set()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    keys: set[str] = set()
+    for number, line in enumerate(lines):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if number == len(lines) - 1:
+                break
+            raise ChaosContractViolation(
+                f"journal line {number + 1} is unreadable: {exc}") from exc
+        if isinstance(record, dict) and "key" in record:
+            keys.add(record["key"])
+    return keys
 
 
 def kill_and_resume(artifacts: Path, workdir: Path,

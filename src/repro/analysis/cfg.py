@@ -7,11 +7,9 @@ program order, follow guarded edges, skip a fork body wholesale.  This
 module lowers each diagram's region tree into a :class:`DiagramCFG` —
 a list of :class:`ProgramPoint` nodes joined by guarded
 :class:`CFGEdge` s — and bundles the per-diagram graphs plus the parsed
-model context (variables, functions, expression caches) into a
-:class:`ModelCFG`.
+model context (variables, functions) into a :class:`ModelCFG`.
 
-Every annotation is parsed exactly once (the plan-compilation
-philosophy of :mod:`repro.estimator.analytic_plan`), and lowering
+Annotations are parsed through the parser's shared memo, and lowering
 mirrors the backends' semantics precisely: stereotype-less actions
 vanish (no runtime object is ever declared for them), structured nodes
 (``activity+``/``loop+``/``parallel+``) become call points into the
@@ -24,7 +22,7 @@ from __future__ import annotations
 from repro.lang.ast import Assign, Expr, Program, walk_stmts
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.types import Type
-from repro.transform.algorithm import build_ir, cost_argument
+from repro.transform.algorithm import ModelIR, as_ir, cost_argument
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -180,20 +178,20 @@ class _DiagramSummary:
 class ModelCFG:
     """All diagram CFGs of one model plus the shared parsed context."""
 
-    def __init__(self, model: Model) -> None:
-        self.model = model
-        self.ir = build_ir(model)
+    def __init__(self, model: Model | ModelIR) -> None:
+        self.ir = as_ir(model)
+        self.model = model = self.ir.model
         self.functions = model.function_defs()
-        self._expr_cache: dict[str, Expr] = {}
-        self._program_cache: dict[str, Program] = {}
         self._summaries: dict[str, _DiagramSummary] = {}
+        #: The code fragments the lowering attached to program points.
+        self.programs: list[Program] = []
 
         # Globals then locals, initializers parsed, in declaration order —
         # the exact environment-population order of every backend.
         self.variables: list[tuple[str, Type, Expr | None]] = []
         for variable in (list(model.global_variables())
                          + list(model.local_variables())):
-            init = (self.expr(variable.init)
+            init = (parse_expression(variable.init)
                     if variable.init is not None else None)
             self.variables.append((variable.name, variable.type, init))
         self.global_names = {v.name for v in model.global_variables()}
@@ -209,7 +207,7 @@ class ModelCFG:
         #: stereotyped element or any cost-function body.  Conservative:
         #: an assignment to a shadowing local still counts.
         self.mutated_names: set[str] = set()
-        for program in self._program_cache.values():
+        for program in self.programs:
             for stmt in walk_stmts(program.body):
                 if isinstance(stmt, Assign):
                     self.mutated_names.add(stmt.name)
@@ -220,22 +218,6 @@ class ModelCFG:
                     self.mutated_names.add(stmt.name)
                     if stmt.name in self.global_names:
                         self.functions_mutate_globals = True
-
-    # -- parse caches -------------------------------------------------------
-
-    def expr(self, source: str) -> Expr:
-        cached = self._expr_cache.get(source)
-        if cached is None:
-            cached = parse_expression(source)
-            self._expr_cache[source] = cached
-        return cached
-
-    def program(self, source: str) -> Program:
-        cached = self._program_cache.get(source)
-        if cached is None:
-            cached = parse_program(source)
-            self._program_cache[source] = cached
-        return cached
 
     # -- summaries ----------------------------------------------------------
 
@@ -328,18 +310,17 @@ class _Lowerer:
 
     def _lower_leaf(self, node: ActivityNode, pred: ProgramPoint,
                     guard: Expr | None, role: str) -> ProgramPoint:
-        expr = self.model_cfg.expr
         if isinstance(node, ActivityInvocationNode):
             point = self.cfg.new_point("call", node)
             point.behavior = node.behavior
         elif isinstance(node, LoopNode):
             point = self.cfg.new_point("loop", node)
             point.behavior = node.behavior
-            point.iterations = expr(node.iterations)
+            point.iterations = parse_expression(node.iterations)
         elif isinstance(node, ParallelRegionNode):
             point = self.cfg.new_point("parallel", node)
             point.behavior = node.behavior
-            point.num_threads = expr(node.num_threads)
+            point.num_threads = parse_expression(node.num_threads)
         elif isinstance(node, ActionNode):
             stereotype = performance_stereotype(node)
             if stereotype is None:
@@ -351,11 +332,12 @@ class _Lowerer:
             kind = _COMM_POINT_KINDS.get(stereotype)
             point = self.cfg.new_point(kind or "work", node)
             if node.code is not None:
-                point.code = self.model_cfg.program(node.code)
+                point.code = parse_program(node.code)
+                self.model_cfg.programs.append(point.code)
             if kind is None:
                 cost = cost_argument(node)
                 if cost is not None:
-                    point.cost = expr(cost)
+                    point.cost = parse_expression(cost)
             else:
                 if kind != "barrier":
                     point.size = self._tag_expr(node, stereotype, "size")
@@ -377,19 +359,19 @@ class _Lowerer:
                   default: str = "0") -> Expr:
         raw = node.tag_value(stereotype, tag)
         source = raw if isinstance(raw, str) else default
-        return self.model_cfg.expr(source)
+        return parse_expression(source)
 
     # -- structured control flow ---------------------------------------------
 
     def _lower_branch(self, region: BranchRegion, pred: ProgramPoint,
                       guard: Expr | None, role: str) -> ProgramPoint:
-        expr = self.model_cfg.expr
         branch = self.cfg.new_point("branch", region.decision)
         self._link(pred, branch, guard, role)
         merge = self.cfg.new_point("merge", region.merge)
         branch.join = merge
         for guard_src, arm in region.arms:
-            arm_last = self._lower(arm, branch, expr(guard_src), "arm")
+            arm_last = self._lower(arm, branch,
+                                   parse_expression(guard_src), "arm")
             self._link(arm_last, merge, None, "seq")
         if region.else_arm is not None:
             else_last = self._lower(region.else_arm, branch, None, "else")
@@ -401,16 +383,15 @@ class _Lowerer:
 
     def _lower_cycle(self, region: CycleRegion, pred: ProgramPoint,
                      guard: Expr | None, role: str) -> ProgramPoint:
-        expr = self.model_cfg.expr
         head = self.cfg.new_point("cycle_head", region.header)
         self._link(pred, head, guard, role)
         pre_last = self._lower(region.pre, head, None, "seq")
         test = self.cfg.new_point("cycle_test", region.decision)
         self._link(pre_last, test, None, "seq")
         if region.break_condition is not None:
-            test.break_expr = expr(region.break_condition)
+            test.break_expr = parse_expression(region.break_condition)
         if region.negated_stay_guard is not None:
-            test.stay_expr = expr(region.negated_stay_guard)
+            test.stay_expr = parse_expression(region.negated_stay_guard)
         after = self.cfg.new_point("cycle_exit")
         self._link(test, after, None, "break")
         post_last = self._lower(region.post, test, None, "stay")
@@ -431,8 +412,9 @@ class _Lowerer:
         return join
 
 
-def build_model_cfg(model: Model) -> ModelCFG:
-    """Lower every diagram of ``model`` into its CFG."""
+def build_model_cfg(model: Model | ModelIR) -> ModelCFG:
+    """Lower every diagram of ``model`` (or of an already-built IR)
+    into its CFG."""
     return ModelCFG(model)
 
 

@@ -93,14 +93,6 @@ class _Scan:
     def __init__(self) -> None:
         self.names: set[str] = set()
         self.peer_names: set[str] = set()
-        self._cache: dict[str, Expr] = {}
-
-    def expr(self, source: str) -> Expr:
-        cached = self._cache.get(source)
-        if cached is None:
-            cached = parse_expression(source)
-            self._cache[source] = cached
-        return cached
 
     def note(self, expr: Expr, into: set[str] | None = None) -> None:
         bucket = self.names if into is None else into
@@ -122,7 +114,7 @@ def rank_dependence(model: Model) -> RankDependenceFact:
     for variable in (list(model.global_variables())
                      + list(model.local_variables())):
         if variable.init is not None:
-            scan.note(scan.expr(variable.init))
+            scan.note(parse_expression(variable.init))
     for function in model.function_defs().values():
         scan.note_stmts(function.body)
     for diagram in model.diagrams:
@@ -130,11 +122,11 @@ def rank_dependence(model: Model) -> RankDependenceFact:
             if isinstance(node, DecisionNode):
                 for edge in node.outgoing:
                     if edge.guard not in (None, "else"):
-                        scan.note(scan.expr(edge.guard))
+                        scan.note(parse_expression(edge.guard))
             elif isinstance(node, LoopNode):
-                scan.note(scan.expr(node.iterations))
+                scan.note(parse_expression(node.iterations))
             elif isinstance(node, ParallelRegionNode):
-                scan.note(scan.expr(node.num_threads))
+                scan.note(parse_expression(node.num_threads))
             elif isinstance(node, ActionNode):
                 _scan_action(scan, node)
     return RankDependenceFact(frozenset(scan.names),
@@ -152,16 +144,16 @@ def _scan_action(scan: _Scan, node: ActionNode) -> None:
     if stereotype in _COMM_STEREOTYPES:
         if stereotype != BARRIER_PLUS:
             raw = node.tag_value(stereotype, "size")
-            scan.note(scan.expr(raw if isinstance(raw, str) else "0"))
+            scan.note(parse_expression(raw if isinstance(raw, str) else "0"))
         peer_tag = _PEER_TAGS.get(stereotype)
         if peer_tag is not None:
             raw = node.tag_value(stereotype, peer_tag)
-            scan.note(scan.expr(raw if isinstance(raw, str) else "0"),
+            scan.note(parse_expression(raw if isinstance(raw, str) else "0"),
                       into=scan.peer_names)
     else:
         cost = cost_argument(node)
         if cost is not None:
-            scan.note(scan.expr(cost))
+            scan.note(parse_expression(cost))
 
 
 __all__ = ["RANK_NAMES", "RankDependenceFact", "rank_dependence"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.pygen import _render_with_filter, emit_stmt
-from repro.transform.algorithm import ModelIR, build_ir
+from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -68,9 +68,7 @@ class SkeletonArtifacts:
 
 
 def generate_skeleton(model_or_ir: Model | ModelIR) -> SkeletonArtifacts:
-    ir = model_or_ir if isinstance(model_or_ir, ModelIR) \
-        else build_ir(model_or_ir)
-    return _SkeletonEmitter(ir).emit()
+    return _SkeletonEmitter(as_ir(model_or_ir)).emit()
 
 
 class _SkeletonEmitter:

@@ -95,10 +95,12 @@ def _bench_models(smoke: bool):
 def _clear_memos() -> None:
     from repro.estimator.backends import (clear_plan_cache,
                                           clear_prepared_cache)
+    from repro.lang.parser import clear_parse_memo
     from repro.sweep.runner import clear_worker_memos
     clear_prepared_cache()
     clear_plan_cache()
     clear_worker_memos()
+    clear_parse_memo()
 
 
 def _cold_sweep_spec(models):

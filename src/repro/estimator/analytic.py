@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from repro.estimator.analytic_plan import AnalyticPlan
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
+from repro.transform.algorithm import ModelIR
 from repro.transform.flowgraph import Region
 from repro.uml.model import Model
 
@@ -70,13 +71,13 @@ class AnalyticResult:
 class AnalyticEvaluator:
     """Evaluates a model analytically under given system parameters."""
 
-    def __init__(self, model: Model,
+    def __init__(self, model: Model | ModelIR,
                  params: SystemParameters | None = None,
                  network: NetworkConfig | None = None) -> None:
-        self.model = model
+        self.plan = AnalyticPlan(model)
+        self.model = self.plan.model
         self.params = params or SystemParameters()
         self.network = network or NetworkConfig()
-        self.plan = AnalyticPlan(model)
 
     @property
     def ir(self):
@@ -97,7 +98,7 @@ class AnalyticEvaluator:
         return self.plan.region_is_state_free(region)
 
 
-def evaluate_analytically(model: Model,
+def evaluate_analytically(model: Model | ModelIR,
                           params: SystemParameters | None = None,
                           network: NetworkConfig | None = None
                           ) -> AnalyticResult:

@@ -11,7 +11,7 @@ structural model, evaluate per grid point*.
 structure (the sweep engine memoizes it by structural hash):
 
 * every guard, iteration count, tag, cost expression, and code fragment
-  is parsed exactly once;
+  is parsed at compile time (through the parser's shared memo);
 * every action's performance stereotype is resolved to a small plan node
   (work, send/recv, collective) at compile time — stereotype-less
   actions vanish from the plan entirely;
@@ -67,7 +67,7 @@ from repro.lang.types import Type
 from repro.machine.network import (NetworkConfig, effective_parameters,
                                    tree_depth)
 from repro.machine.params import SystemParameters
-from repro.transform.algorithm import build_ir, cost_argument
+from repro.transform.algorithm import ModelIR, as_ir, cost_argument
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -464,13 +464,10 @@ class _PComm:
 class AnalyticPlan:
     """The reusable compiled form of one model's cost recursion."""
 
-    def __init__(self, model: Model) -> None:
-        self.model = model
-        self.ir = build_ir(model)
+    def __init__(self, model: Model | ModelIR) -> None:
+        self.ir = as_ir(model)
+        self.model = model = self.ir.model
         self.functions = model.function_defs()
-        self._expr_cache: dict[str, Expr] = {}
-        self._program_cache: dict[str, Program] = {}
-        self._override_cache: dict[str, Expr] = {}
         self._state_free: dict[str, bool] = {}
         self._links: list = []
 
@@ -479,7 +476,7 @@ class AnalyticPlan:
         self.variables: list[tuple[str, Type, Expr | None]] = []
         for variable in (list(model.global_variables())
                          + list(model.local_variables())):
-            init = (self._expr(variable.init)
+            init = (parse_expression(variable.init)
                     if variable.init is not None else None)
             self.variables.append((variable.name, variable.type, init))
         self._variable_names = {name for name, _, _ in self.variables}
@@ -498,21 +495,7 @@ class AnalyticPlan:
         self.rank_invariant = \
             not rank_dependence(model).cost_rank_dependent
 
-    # -- compile-time caches and scans ---------------------------------------
-
-    def _expr(self, source: str) -> Expr:
-        cached = self._expr_cache.get(source)
-        if cached is None:
-            cached = parse_expression(source)
-            self._expr_cache[source] = cached
-        return cached
-
-    def _program(self, source: str) -> Program:
-        cached = self._program_cache.get(source)
-        if cached is None:
-            cached = parse_program(source)
-            self._program_cache[source] = cached
-        return cached
+    # -- compile-time scans ---------------------------------------------------
 
     def region_is_state_free(self, region: Region,
                              _seen: frozenset[str] = frozenset()) -> bool:
@@ -523,7 +506,7 @@ class AnalyticPlan:
             node = leaf.node
             code = getattr(node, "code", None)
             if code is not None:
-                program = self._program(code)
+                program = parse_program(code)
                 for stmt in walk_stmts(program.body):
                     if isinstance(stmt, (Assign, VarDecl)):
                         return False
@@ -558,7 +541,7 @@ class AnalyticPlan:
         if isinstance(region, LeafRegion):
             return self._compile_leaf(region.node)
         if isinstance(region, BranchRegion):
-            arms = [(self._expr(guard),
+            arms = [(parse_expression(guard),
                      self._compile_region(arm) or _ZERO_NODE)
                     for guard, arm in region.arms]
             else_arm = (self._compile_region(region.else_arm) or _ZERO_NODE
@@ -567,9 +550,9 @@ class AnalyticPlan:
         if isinstance(region, CycleRegion):
             return _PCycle(
                 self._compile_region(region.pre) or _ZERO_NODE,
-                (self._expr(region.break_condition)
+                (parse_expression(region.break_condition)
                  if region.break_condition is not None else None),
-                (self._expr(region.negated_stay_guard)
+                (parse_expression(region.negated_stay_guard)
                  if region.negated_stay_guard is not None else None),
                 self._compile_region(region.post) or _ZERO_NODE)
         if isinstance(region, ForkRegion):
@@ -585,19 +568,19 @@ class AnalyticPlan:
             self._links.append(ref)
             return ref
         if isinstance(node, LoopNode):
-            ref = _PLoop(node.behavior, self._expr(node.iterations),
+            ref = _PLoop(node.behavior, parse_expression(node.iterations),
                          self._behavior_state_free(node.behavior))
             self._links.append(ref)
             return ref
         if isinstance(node, ParallelRegionNode):
-            ref = _PParallel(node.behavior, self._expr(node.num_threads))
+            ref = _PParallel(node.behavior, parse_expression(node.num_threads))
             self._links.append(ref)
             return ref
         if isinstance(node, ActionNode):
             stereotype = performance_stereotype(node)
             if stereotype is None:
                 return None
-            program = (self._program(node.code)
+            program = (parse_program(node.code)
                        if node.code is not None else None)
             kind = _COMM_KINDS.get(stereotype)
             if kind is not None:
@@ -606,7 +589,7 @@ class AnalyticPlan:
                 return _PComm(program, kind, size)
             cost = cost_argument(node)
             return _PWork(program,
-                          self._expr(cost) if cost is not None else None,
+                          parse_expression(cost) if cost is not None else None,
                           node.name)
         raise EstimatorError(
             f"analytic evaluator cannot time {type(node).__name__}")
@@ -615,7 +598,7 @@ class AnalyticPlan:
                   name: str, default: str = "0") -> Expr:
         raw = node.tag_value(stereotype, name)
         source = raw if isinstance(raw, str) else default
-        return self._expr(source)
+        return parse_expression(source)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -629,11 +612,7 @@ class AnalyticPlan:
                 raise EstimatorError(
                     f"override of undeclared variable {name!r} "
                     f"(model {self.model.name!r})")
-            expr = self._override_cache.get(source)
-            if expr is None:
-                expr = parse_expression(source)
-                self._override_cache[source] = expr
-            mapping[name] = expr
+            mapping[name] = parse_expression(source)
         return mapping
 
     def _pid_time(self, rt: _Runtime, pid: int,
@@ -742,7 +721,7 @@ class AnalyticPlan:
         return [float(value) for value in span]
 
 
-def compile_plan(model: Model) -> AnalyticPlan:
+def compile_plan(model: Model | ModelIR) -> AnalyticPlan:
     """Compile ``model``'s cost recursion into a reusable plan."""
     return AnalyticPlan(model)
 

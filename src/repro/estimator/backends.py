@@ -19,7 +19,10 @@ Backends:
 
 A module-level prepared-model memo keyed by the model's structural hash
 amortizes the transform cost when one process evaluates the same model
-at many parameter points (exactly the sweep access pattern).
+at many parameter points (exactly the sweep access pattern).  Every
+entry point accepts a :class:`~repro.transform.algorithm.ModelIR` in
+place of the model: the sweep runner lowers each model once and hands
+that IR to every backend; a plain model gets a fresh IR per transform.
 
 For the analytic backend the same idea goes one step further:
 :func:`evaluate_grid` compiles the model's cost recursion once into an
@@ -43,6 +46,7 @@ from repro.estimator.manager import PerformanceEstimator, PreparedModel
 from repro.estimator.trace import TRACE_TIERS, validate_trace_tier
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
+from repro.transform.algorithm import ModelIR, model_of
 from repro.uml.hashing import model_structural_hash
 from repro.uml.model import Model
 from repro.util.lru import LRUMap
@@ -102,9 +106,9 @@ def _memo_outcomes(name: str, what: str):
     return family.labels("hit"), family.labels("miss")
 
 
-def _prepared(model: Model, backend: str,
+def _prepared(model: Model | ModelIR, backend: str,
               model_hash: str | None = None) -> PreparedModel:
-    key = (model_hash or model_structural_hash(model), backend)
+    key = (model_hash or model_structural_hash(model_of(model)), backend)
     hit, miss = _memo_outcomes("prepared_cache_total",
                                "prepared-model memo")
     prepared = _PREPARED.get(key)
@@ -117,7 +121,7 @@ def _prepared(model: Model, backend: str,
     return prepared
 
 
-def evaluate_point(model: Model, backend: str,
+def evaluate_point(model: Model | ModelIR, backend: str,
                    params: SystemParameters | None = None,
                    network: NetworkConfig | None = None,
                    seed: int = 0,
@@ -149,11 +153,11 @@ def evaluate_point(model: Model, backend: str,
     validate_trace_tier(trace)
     if check:
         from repro.checker import ModelChecker
-        ModelChecker().assert_valid(model)
+        ModelChecker().assert_valid(model_of(model))
     if backend == "analytic":
         from repro.estimator.analytic import evaluate_analytically
         with obs.span("estimator.run", backend=backend,
-                      model=model.name):
+                      model=model_of(model).name):
             start = time.perf_counter()
             result = evaluate_analytically(model, params, network)
             obs.histogram(
@@ -181,7 +185,7 @@ def evaluate_point(model: Model, backend: str,
     }
 
 
-def analytic_plan(model: Model,
+def analytic_plan(model: Model | ModelIR,
                   model_hash: str | None = None) -> AnalyticPlan:
     """The memoized compiled plan for ``model`` (analytic backend).
 
@@ -189,13 +193,13 @@ def analytic_plan(model: Model,
     — so a sweep, the batch service, and direct callers all share one
     compilation per model structure per process.
     """
-    key = model_hash or model_structural_hash(model)
+    key = model_hash or model_structural_hash(model_of(model))
     hit, miss = _memo_outcomes("plan_cache_total",
                                "compiled analytic-plan memo")
     plan = _PLANS.get(key)
     if plan is None:
         miss.inc()
-        with obs.span("analytic.compile", model=model.name):
+        with obs.span("analytic.compile", model=model_of(model).name):
             start = time.perf_counter()
             plan = AnalyticPlan(model)
             obs.histogram(
@@ -209,7 +213,7 @@ def analytic_plan(model: Model,
     return plan
 
 
-def evaluate_grid(model: Model, points: Sequence[GridPoint],
+def evaluate_grid(model: Model | ModelIR, points: Sequence[GridPoint],
                   check: bool = True,
                   model_hash: str | None = None) -> list[dict]:
     """Evaluate a whole grid of analytic points in one pass.
@@ -227,7 +231,7 @@ def evaluate_grid(model: Model, points: Sequence[GridPoint],
     """
     if check:
         from repro.checker import ModelChecker
-        ModelChecker().assert_valid(model)
+        ModelChecker().assert_valid(model_of(model))
     plan = analytic_plan(model, model_hash)
     obs.counter("analytic_grid_groups_total",
                 "Grid-compiled analytic evaluations (one per "
@@ -235,7 +239,7 @@ def evaluate_grid(model: Model, points: Sequence[GridPoint],
     obs.histogram("analytic_grid_group_points",
                   "Points evaluated by one grid-compiled replay.",
                   obs.SIZE_BUCKETS).observe(len(points))
-    with obs.span("analytic.grid", model=model.name,
+    with obs.span("analytic.grid", model=plan.model.name,
                   points=len(points)):
         start = time.perf_counter()
         makespans = plan.grid_makespans(points)

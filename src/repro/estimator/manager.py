@@ -26,6 +26,7 @@ from repro.estimator.trace import (
     validate_trace_tier,
     write_trace,
 )
+from repro.transform.algorithm import ModelIR, as_ir, model_of
 from repro.uml.model import Model
 from repro.workload.context import (
     ExecContext,
@@ -138,16 +139,17 @@ class PerformanceEstimator:
             ModelChecker().assert_valid(model)
         return self.run_prepared(self.prepare(model, mode))
 
-    def prepare(self, model: Model,
+    def prepare(self, model: Model | ModelIR,
                 mode: str = "codegen") -> PreparedModel:
-        """One-time transformation of ``model`` into an evaluable form."""
-        with obs.span("estimator.prepare", backend=mode,
-                      model=model.name):
+        """One-time transformation of ``model`` (or of its already-built
+        IR, shared with the other backends) into an evaluable form."""
+        name = model_of(model).name
+        with obs.span("estimator.prepare", backend=mode, model=name):
             start = time.perf_counter()
             if mode == "codegen":
-                entry, init_globals = self._prepare_codegen(model)
+                entry, init_globals = self._prepare_codegen(as_ir(model))
             elif mode == "interp":
-                entry, init_globals = self._prepare_interp(model)
+                entry, init_globals = self._prepare_interp(as_ir(model))
             else:
                 raise EstimatorError(
                     f"unknown evaluation mode {mode!r} "
@@ -157,7 +159,7 @@ class PerformanceEstimator:
                 "Wall time of one model transformation (prepare).",
                 obs.LATENCY_BUCKETS_S, labelnames=("backend",),
             ).labels(mode).observe(time.perf_counter() - start)
-        return PreparedModel(model.name, mode, entry, init_globals)
+        return PreparedModel(name, mode, entry, init_globals)
 
     def run_prepared(self, prepared: PreparedModel) -> EstimationResult:
         """Evaluate a prepared model (repeatable, no transform cost)."""
@@ -167,17 +169,17 @@ class PerformanceEstimator:
     # -- representation preparation -------------------------------------------
 
     @staticmethod
-    def _prepare_codegen(model: Model):
+    def _prepare_codegen(ir: ModelIR):
         from repro.transform.python.emitter import transform_to_python
-        artifacts = transform_to_python(model)
+        artifacts = transform_to_python(ir)
         module = artifacts.compile()
         return (getattr(module, artifacts.entry_point),
                 module.init_globals)
 
     @staticmethod
-    def _prepare_interp(model: Model):
+    def _prepare_interp(ir: ModelIR):
         from repro.transform.interp import ModelInterpreter
-        interpreter = ModelInterpreter(model)
+        interpreter = ModelInterpreter(ir)
         return interpreter.main, interpreter.init_globals
 
     # -- the run itself -----------------------------------------------------------

@@ -25,9 +25,18 @@ boundary stripped of their XML, and they cross it in *chunks* rather
 than one round-trip per point.  A worker that still misses a model —
 possible on the shared persistent pool, whose workers outlive any one
 sweep — answers ``need_model`` and the runner re-sends just those jobs
-with the XML attached (the lazy-fetch fallback).  Workers keep a
-process-local memo of parsed-and-checked models keyed by structural
-hash, and the prepared-model memo in :mod:`repro.estimator.backends`
+with the XML attached (the lazy-fetch fallback).
+
+Front end once per model: a ``run_jobs`` call *resolves* each distinct
+model it runs in this process at most once — parse, check, lower to
+the :class:`~repro.transform.algorithm.ModelIR` — and the analytic
+grid, the pre-flight and the serial executor all read that one
+resolution (the IR feeds every backend's transform and the analyzer's
+CFG).  A model that fails to resolve fails each of its jobs with the
+same ``ExcType: message``.  Resolutions live only for the call; a
+small process-local memo keyed by structural hash carries models
+across calls (pool workers, the persistent pool, a service's batches),
+and the prepared-model memo in :mod:`repro.estimator.backends`
 likewise amortizes the transform.
 
 ``trace`` selects the estimator's recording tier for the simulated
@@ -76,19 +85,26 @@ from repro.sweep.resilient import ResilientDispatcher, RetryPolicy, \
     terminate_pool_workers
 from repro.sweep.results import JobResult, SweepResult
 from repro.sweep.spec import SweepJob, SweepSpec
-from repro.uml.model import Model
+from repro.transform.algorithm import ModelIR
 from repro.util.lru import LRUMap
 
 #: Payload keys every cached/executed result must carry; cache entries
 #: missing any of them are treated as corrupt and re-run.
 PAYLOAD_KEYS = ("predicted_time", "events", "trace_records")
 
-#: Worker-local memo: model structural hash → parsed, checker-validated
-#: Model.  Lives per process (each pool worker builds its own);
-#: LRU-evicting so a worker cycling through many variants keeps its
-#: recent ones instead of dropping everything at the limit.
+#: Worker-local memo: model structural hash → resolved ModelIR (parsed,
+#: checker-validated, lowered).  It carries models *across* calls — a
+#: pool worker's successive chunks, the persistent pool's long-lived
+#: workers, a service's successive batches.  Within one ``run_jobs``
+#: call every model is resolved once whatever this memo holds (see
+#: :func:`_job_model`).  LRU-evicting so a worker cycling through many
+#: variants keeps its recent ones instead of dropping everything.
 _WORKER_MODELS_LIMIT = 32
-_WORKER_MODELS: LRUMap[str, Model] = LRUMap(_WORKER_MODELS_LIMIT)
+_WORKER_MODELS: LRUMap[str, ModelIR] = LRUMap(_WORKER_MODELS_LIMIT)
+
+#: One ``run_jobs`` call's resolutions: structural hash → the model's
+#: IR, or the error its resolution raised.
+Resolutions = dict[str, "ModelIR | ProphetError"]
 
 #: Worker-local model table: structural hash → XML, shipped once per
 #: worker by the pool initializer instead of once per job.
@@ -119,23 +135,50 @@ def clear_worker_memos() -> None:
     faults.unmark_worker()
 
 
-def _job_model(job: SweepJob) -> Model | None:
-    """The parsed model for ``job``, or ``None`` if this worker has
-    neither the XML nor a memoized parse (persistent-pool cache miss)."""
-    model = _WORKER_MODELS.get(job.model_hash)
-    if model is None:
-        xml = job.model_xml or _WORKER_XML.get(job.model_hash)
-        if xml is None:
-            return None
-        from repro.checker import ModelChecker
-        from repro.xmlio.reader import model_from_xml
-        model = model_from_xml(xml)
-        ModelChecker().assert_valid(model)
-        _WORKER_MODELS.put(job.model_hash, model)
-    return model
+def _resolve(xml: str) -> ModelIR:
+    """A model's front end: parse, check, and lower to the IR that every
+    backend and the pre-flight share."""
+    from repro.checker import ModelChecker
+    from repro.transform.algorithm import build_ir
+    from repro.xmlio.reader import model_from_xml
+    obs.counter("model_resolutions_total",
+                "Models parsed, checked and lowered to IR by the sweep "
+                "runner: at most one per distinct model per run_jobs "
+                "call.").inc()
+    model = model_from_xml(xml)
+    ModelChecker().assert_valid(model)
+    return build_ir(model)
 
 
-def execute_job(job: SweepJob, trace: str = "full") -> dict:
+def _job_model(job: SweepJob, models: Resolutions) -> ModelIR | None:
+    """The resolved model for ``job``, or ``None`` if this process has
+    neither the XML nor a memoized resolution (persistent-pool miss).
+
+    ``models`` is the calling ``run_jobs``' own table: each model is
+    resolved at most once per call, however many models the call holds,
+    and an invalid one re-raises its first error for every job without
+    being parsed again."""
+    resolved = models.get(job.model_hash)
+    if resolved is None:
+        resolved = _WORKER_MODELS.get(job.model_hash)
+        if resolved is None:
+            xml = job.model_xml or _WORKER_XML.get(job.model_hash)
+            if xml is None:
+                return None
+            try:
+                resolved = _resolve(xml)
+            except ProphetError as exc:
+                resolved = exc
+            else:
+                _WORKER_MODELS.put(job.model_hash, resolved)
+        models[job.model_hash] = resolved
+    if isinstance(resolved, ProphetError):
+        raise resolved.with_traceback(None)
+    return resolved
+
+
+def execute_job(job: SweepJob, trace: str = "full",
+                models: Resolutions | None = None) -> dict:
     """Evaluate one point; never raises.
 
     Returns ``{"status": "ok", ...payload}``, ``{"status": "error",
@@ -146,17 +189,18 @@ def execute_job(job: SweepJob, trace: str = "full") -> dict:
     failure — an injected :class:`~repro.faults.TransientFault` or a
     worker ``MemoryError`` — which the retry policy re-dispatches
     (executors without one report it as a plain error).
-    Module-level (not a closure) so the process-pool executor can
-    pickle it.
+    ``models`` is the calling ``run_jobs``' resolution table (see
+    :func:`_job_model`).  Module-level (not a closure) so the
+    process-pool executor can pickle it.
     """
     try:
         faults.maybe_inject(job.index)
-        model = _job_model(job)
-        if model is None:
+        ir = _job_model(job, {} if models is None else models)
+        if ir is None:
             return {"status": "need_model",
                     "model_hash": job.model_hash}
         payload = evaluate_point(
-            model, job.backend, job.params, job.network, job.seed,
+            ir, job.backend, job.params, job.network, job.seed,
             check=False, model_hash=job.model_hash, trace=trace)
         return {"status": "ok", **payload}
     except (faults.TransientFault, MemoryError) as exc:
@@ -191,13 +235,18 @@ def clear_preflight_memo() -> None:
     _PREFLIGHT_MEMO.clear()
 
 
-def _preflight_verdict(model: Model, job: SweepJob) -> str | None:
+def _preflight_verdict(job: SweepJob, models: Resolutions,
+                       cfgs: dict) -> str | None:
     """The error to skip ``job`` with, or ``None`` to let it run.
 
     Only *proven* failures skip: an exact communication match that is
     guaranteed to deadlock, or an exact trace that reaches an
     out-of-range peer.  Ambiguous, inexact, or budget-exceeding
-    analyses return ``None`` — the simulation is the arbiter then.
+    analyses return ``None`` — the simulation is the arbiter then.  So
+    does a model that fails to resolve: its executor reports the
+    resolution error, exactly as with the pre-flight off.  ``cfgs``
+    holds the screen's CFGs by model hash, one per model whatever the
+    process counts and eager thresholds asked of it.
     """
     key = (job.model_hash, job.params.processes,
            job.network.eager_threshold)
@@ -207,8 +256,13 @@ def _preflight_verdict(model: Model, job: SweepJob) -> str | None:
     try:
         from repro.analysis.cfg import build_model_cfg
         from repro.analysis.comm import enumerate_traces, match_traces
-        traces = enumerate_traces(build_model_cfg(model),
-                                  job.params.processes,
+        cfg = cfgs.get(job.model_hash)
+        if cfg is None:
+            ir = _job_model(job, models)
+            if ir is None:
+                return None
+            cfg = cfgs[job.model_hash] = build_model_cfg(ir)
+        traces = enumerate_traces(cfg, job.params.processes,
                                   op_budget=PREFLIGHT_OP_BUDGET,
                                   event_cap=PREFLIGHT_EVENT_CAP)
         match = match_traces(traces, job.network.eager_threshold)
@@ -230,18 +284,15 @@ def _preflight_verdict(model: Model, job: SweepJob) -> str | None:
     return verdict or None
 
 
-def _preflight(pending: Sequence[SweepJob]
+def _preflight(pending: Sequence[SweepJob], models: Resolutions
                ) -> tuple[list[SweepJob], dict[int, str]]:
     """Screen pending simulated jobs; returns (to run, skips by index)."""
     runnable: list[SweepJob] = []
     skips: dict[int, str] = {}
+    cfgs: dict = {}
     for job in pending:
-        if job.backend not in SIMULATED_BACKENDS:
-            runnable.append(job)
-            continue
-        model = _job_model(job)
-        verdict = (_preflight_verdict(model, job)
-                   if model is not None else None)
+        verdict = (_preflight_verdict(job, models, cfgs)
+                   if job.backend in SIMULATED_BACKENDS else None)
         if verdict is None:
             runnable.append(job)
         else:
@@ -276,8 +327,9 @@ def pool_dispatch(executor: str | object, simulated_jobs: int,
     return executor
 
 
-def _run_analytic_grid(jobs: Sequence[SweepJob],
-                       trace: str) -> tuple[dict[int, dict], int]:
+def _run_analytic_grid(jobs: Sequence[SweepJob], trace: str,
+                       models: Resolutions
+                       ) -> tuple[dict[int, dict], int]:
     """Evaluate analytic cache misses through the compiled grid path.
 
     Jobs are grouped by structural hash; each group compiles (or
@@ -294,18 +346,18 @@ def _run_analytic_grid(jobs: Sequence[SweepJob],
         groups.setdefault(job.model_hash, []).append(job)
     for model_hash, group in groups.items():
         try:
-            model = _job_model(group[0])
-            if model is None:
+            ir = _job_model(group[0], models)
+            if ir is None:
                 raise ProphetError(
                     f"model {model_hash[:12]} unavailable in this "
                     "process")
             points = [GridPoint(job.params, job.network, seed=job.seed)
                       for job in group]
-            payloads = evaluate_grid(model, points, check=False,
+            payloads = evaluate_grid(ir, points, check=False,
                                      model_hash=model_hash)
         except Exception:  # noqa: BLE001 — per-job capture by design
             for job in group:
-                outcomes[job.index] = execute_job(job, trace)
+                outcomes[job.index] = execute_job(job, trace, models)
             continue
         for job, payload in zip(group, payloads):
             outcomes[job.index] = {"status": "ok", **payload}
@@ -338,13 +390,14 @@ class SerialExecutor:
         self.fault_plan = fault_plan
         self._rng = None
 
-    def _run_one(self, job: SweepJob, trace: str) -> dict:
+    def _run_one(self, job: SweepJob, trace: str,
+                 models: Resolutions | None) -> dict:
         if self._rng is None:
             self._rng = random.Random(self.policy.seed)
         attempts = 0
         while True:
             attempts += 1
-            outcome = execute_job(job, trace)
+            outcome = execute_job(job, trace, models)
             if outcome.get("status") != "transient":
                 break
             if attempts > self.policy.max_retries:
@@ -361,8 +414,8 @@ class SerialExecutor:
         return outcome
 
     def run(self, jobs: Sequence[SweepJob], trace: str = "full",
-            on_outcome: Callable[[SweepJob, dict], None] | None = None
-            ) -> list[dict]:
+            on_outcome: Callable[[SweepJob, dict], None] | None = None,
+            models: Resolutions | None = None) -> list[dict]:
         if not jobs:
             return []
         histogram = _job_seconds()
@@ -375,7 +428,7 @@ class SerialExecutor:
                 with obs.span("sweep.job", backend=job.backend,
                               index=job.index):
                     start = time.perf_counter()
-                    outcome = self._run_one(job, trace)
+                    outcome = self._run_one(job, trace, models)
                     histogram.labels(job.backend).observe(
                         time.perf_counter() - start)
                 outcomes.append(outcome)
@@ -508,8 +561,8 @@ class ProcessPoolExecutor:
         return outcomes
 
     def run(self, jobs: Sequence[SweepJob], trace: str = "full",
-            on_outcome: Callable[[SweepJob, dict], None] | None = None
-            ) -> list[dict]:
+            on_outcome: Callable[[SweepJob, dict], None] | None = None,
+            models: Resolutions | None = None) -> list[dict]:
         if not jobs:
             return []
         if self.resilient:
@@ -518,7 +571,7 @@ class ProcessPoolExecutor:
             # kills have no worker to take down).
             return self._run_resilient(jobs, trace, on_outcome)
         if len(jobs) == 1:  # a pool for one job is pure overhead
-            outcomes = [execute_job(jobs[0], trace)]
+            outcomes = [execute_job(jobs[0], trace, models)]
             if on_outcome is not None:
                 on_outcome(jobs[0], outcomes[0])
             return outcomes
@@ -699,9 +752,11 @@ def make_executor(executor: str | object,
 
 
 def _run_with_trace(runner, jobs: Sequence[SweepJob], trace: str,
-                    on_outcome=None) -> list[dict]:
-    """Call ``runner.run``, passing ``trace``/``on_outcome`` only if
-    accepted (keeps pre-trace-tier custom executors working)."""
+                    on_outcome=None,
+                    models: Resolutions | None = None) -> list[dict]:
+    """Call ``runner.run``, passing ``trace``/``on_outcome``/``models``
+    only if accepted (keeps pre-trace-tier custom executors working;
+    ``models`` only serves jobs that run in this process)."""
     try:
         accepted = inspect.signature(runner.run).parameters
     except (TypeError, ValueError):  # builtins, exotic callables
@@ -711,6 +766,8 @@ def _run_with_trace(runner, jobs: Sequence[SweepJob], trace: str,
         kwargs["trace"] = trace
     if on_outcome is not None and "on_outcome" in accepted:
         kwargs["on_outcome"] = on_outcome
+    if models is not None and "models" in accepted:
+        kwargs["models"] = models
     outcomes = runner.run(jobs, **kwargs)
     if on_outcome is not None and "on_outcome" not in accepted:
         # Custom executors that predate journaling still journal —
@@ -860,13 +917,14 @@ def run_jobs(jobs: Sequence[SweepJob],
     pending = [job for job in jobs
                if job.index not in served and job.index not in journaled]
     outcomes: dict[int, dict] = {}
+    models: Resolutions = {}  # this call's front ends, see _job_model
     grid_note = ""
     if analytic_grid:
         analytic_pending = [job for job in pending
                             if job.backend == "analytic"]
         if analytic_pending:
             grid_outcomes, group_count = _run_analytic_grid(
-                analytic_pending, trace)
+                analytic_pending, trace, models)
             outcomes.update(grid_outcomes)
             pending = [job for job in pending
                        if job.backend != "analytic"]
@@ -874,7 +932,7 @@ def run_jobs(jobs: Sequence[SweepJob],
                          f"point(s) in {group_count} grid group(s)")
 
     if preflight and pending:
-        pending, preflight_skips = _preflight(pending)
+        pending, preflight_skips = _preflight(pending, models)
         for index, message in preflight_skips.items():
             outcomes[index] = {"status": "error", "error": message}
         if preflight_skips:
@@ -914,10 +972,10 @@ def run_jobs(jobs: Sequence[SweepJob],
         elif dispatch_lock is not None:
             with dispatch_lock:
                 dispatched = _run_with_trace(runner, pending, trace,
-                                             on_outcome)
+                                             on_outcome, models)
         else:
             dispatched = _run_with_trace(runner, pending, trace,
-                                         on_outcome)
+                                         on_outcome, models)
         outcomes.update(zip((job.index for job in pending),
                             dispatched))
 

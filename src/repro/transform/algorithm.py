@@ -10,7 +10,11 @@
   tree (:mod:`.flowgraph`).
 
 Both backends (C++ text, executable Python) render the same IR, which is
-what makes the two representations semantically aligned.
+what makes the two representations semantically aligned.  So do the
+interpreter, the analytic plan and the analyzer's CFG: each accepts a
+built :class:`ModelIR` (via :func:`as_ir`), so a caller that already
+lowered a model — the sweep runner, once per model per call — shares
+that one IR with every consumer.
 """
 
 from __future__ import annotations
@@ -121,6 +125,22 @@ def build_ir(model: Model) -> ModelIR:
 
     _check_invocations_resolve(ir)
     return ir
+
+
+def as_ir(model_or_ir: Model | ModelIR) -> ModelIR:
+    """``model_or_ir`` itself if it is already an IR, else a fresh
+    :func:`build_ir` of the model.  Never memoized: models are mutable,
+    and an edited model must never be served a stale IR."""
+    if isinstance(model_or_ir, ModelIR):
+        return model_or_ir
+    return build_ir(model_or_ir)
+
+
+def model_of(model_or_ir: Model | ModelIR) -> Model:
+    """The model ``model_or_ir`` is, or was lowered from."""
+    if isinstance(model_or_ir, ModelIR):
+        return model_or_ir.model
+    return model_or_ir
 
 
 def _check_invocations_resolve(ir: ModelIR) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.cppgen import cpp_type, emit_stmt, expr_to_cpp, function_to_cpp
 from repro.lang.parser import parse_expression, parse_program
-from repro.transform.algorithm import ModelIR, build_ir, cost_argument
+from repro.transform.algorithm import ModelIR, as_ir, cost_argument
 from repro.transform.cpp.runtime_header import RUNTIME_HEADER
 from repro.transform.flowgraph import (
     BranchRegion,
@@ -65,10 +65,7 @@ class CppArtifacts:
 
 def transform_to_cpp(model_or_ir: Model | ModelIR) -> CppArtifacts:
     """Transform a model (Fig. 5 end to end) into its C++ representation."""
-    ir = model_or_ir if isinstance(model_or_ir, ModelIR) \
-        else build_ir(model_or_ir)
-    emitter = _CppEmitter(ir)
-    return emitter.emit()
+    return _CppEmitter(as_ir(model_or_ir)).emit()
 
 
 class _CppEmitter:

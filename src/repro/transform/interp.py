@@ -6,7 +6,9 @@ transforms it to C++.  This module is the counterfactual: it evaluates
 the model by walking the region tree and evaluating every annotation with
 the mini-language tree evaluator on each execution.  Expression ASTs are
 parsed once and cached (being maximally unfair to the baseline would
-overstate the paper's point); the remaining gap — tree dispatch and
+overstate the paper's point) — guards and loop tests through a
+per-instance table in front of the parser's shared memo, so the
+per-event lookup takes no lock; the remaining gap — tree dispatch and
 environment lookups versus generated straight-line Python — is what the
 EVAL-A benchmark measures.
 """
@@ -14,16 +16,11 @@ EVAL-A benchmark measures.
 from __future__ import annotations
 
 from repro.errors import EstimatorError, TransformError
-from repro.lang.ast import Expr, FloatLit, IntLit, Program
+from repro.lang.ast import Expr, FloatLit, IntLit
 from repro.lang.evaluator import Environment, Evaluator
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.types import Type
-from repro.transform.algorithm import (
-    ModelIR,
-    RUNTIME_CLASSES,
-    build_ir,
-    cost_argument,
-)
+from repro.transform.algorithm import ModelIR, as_ir, cost_argument
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -74,12 +71,11 @@ def _functions_assign_any(functions, names: set[str]) -> bool:
 class ModelInterpreter:
     """Interprets a model against the same runtime as generated code."""
 
-    def __init__(self, model: Model) -> None:
-        self.model = model
-        self.ir: ModelIR = build_ir(model)
+    def __init__(self, model: Model | ModelIR) -> None:
+        self.ir: ModelIR = as_ir(model)
+        self.model = model = self.ir.model
         self.functions = model.function_defs()
         self._expr_cache: dict[str, Expr] = {}
-        self._program_cache: dict[str, Program] = {}
         # Static model facts resolved once, not per action execution
         # (same parse-once philosophy as the expression cache above):
         # node id → action plan (stereotype shape, parsed annotation
@@ -102,13 +98,6 @@ class ModelInterpreter:
             expr = parse_expression(source)
             self._expr_cache[source] = expr
         return expr
-
-    def _program(self, source: str) -> Program:
-        program = self._program_cache.get(source)
-        if program is None:
-            program = parse_program(source)
-            self._program_cache[source] = program
-        return program
 
     # -- entry points used by the estimator ---------------------------------
 
@@ -304,7 +293,7 @@ class ModelInterpreter:
         stereotype = performance_stereotype(node)
         if stereotype is None:
             return None
-        program = (self._program(node.code)
+        program = (parse_program(node.code)
                    if node.code is not None else None)
         sync = program is not None or self._functions_can_mutate
         if stereotype == SEND_PLUS:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.pygen import _render_with_filter, emit_stmt
-from repro.transform.algorithm import ModelIR, build_ir, cost_argument
+from repro.transform.algorithm import ModelIR, as_ir, cost_argument
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -81,9 +81,7 @@ class PyArtifacts:
 
 def transform_to_python(model_or_ir: Model | ModelIR) -> PyArtifacts:
     """Transform a model into its executable Python representation."""
-    ir = model_or_ir if isinstance(model_or_ir, ModelIR) \
-        else build_ir(model_or_ir)
-    return _PyEmitter(ir).emit()
+    return _PyEmitter(as_ir(model_or_ir)).emit()
 
 
 class _PyEmitter:

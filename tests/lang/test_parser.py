@@ -22,12 +22,14 @@ from repro.lang.ast import (
     While,
 )
 from repro.lang.parser import (
+    clear_parse_memo,
     parse_expression,
     parse_function,
     parse_function_body,
     parse_program,
 )
 from repro.lang.types import Type
+from repro.uml.random_models import random_model
 
 
 class TestExpressions:
@@ -313,3 +315,76 @@ class TestParseFunctionBody:
     def test_empty_body_rejected(self):
         with pytest.raises(ParseError):
             parse_function_body("F", "   ")
+
+
+def _outcome(parse, source):
+    """What ``parse`` makes of ``source``: the tree or the error text."""
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _model_sources(model) -> tuple[set[str], set[str]]:
+    """Every expression-like and statement-list source a model holds."""
+    exprs: set[str] = {v.init for v in model.variables
+                       if v.init is not None}
+    programs: set[str] = {cf.body_source
+                          for cf in model.cost_functions.values()}
+    for diagram in model.diagrams:
+        exprs.update(edge.guard for edge in diagram.edges
+                     if edge.guard not in (None, "else"))
+        for node in diagram.nodes:
+            for attr in ("cost", "iterations", "num_threads"):
+                value = getattr(node, attr, None)
+                if isinstance(value, str):
+                    exprs.add(value)
+            if getattr(node, "code", None) is not None:
+                programs.add(node.code)
+            for application in node.applied:
+                exprs.update(value for _, value in application.items()
+                             if isinstance(value, str))
+    return exprs, programs
+
+
+class TestParseMemo:
+    def test_same_source_shares_one_tree(self):
+        assert parse_expression("GV * 2 + 1") is \
+            parse_expression("GV * 2 + 1")
+        assert parse_program("GV = 1; P = 4;") is \
+            parse_program("GV = 1; P = 4;")
+
+    def test_errors_are_never_cached(self):
+        """Every call on a malformed source parses it again: the same
+        message each time, from a fresh exception, never a stored one."""
+        for parse, source in ((parse_expression, "1 +"),
+                              (parse_expression, "a b"),
+                              (parse_program, "x = ;")):
+            raised = []
+            for _ in range(3):
+                with pytest.raises(ParseError) as caught:
+                    parse(source)
+                raised.append(caught.value)
+            assert len({str(exc) for exc in raised}) == 1
+            assert len({id(exc) for exc in raised}) == 3
+
+    def test_clear_parse_memo_forgets_every_tree(self):
+        tree = parse_expression("GV * 3")
+        clear_parse_memo()
+        assert parse_expression("GV * 3") is not tree
+        assert parse_expression("GV * 3") == tree
+
+    def test_memoized_trees_equal_fresh_parses(self):
+        """Over a random-model corpus, a memoized tree equals a fresh
+        parse of the same source (and a failure fails identically)."""
+        checked = 0
+        for seed in range(12):
+            exprs, programs = _model_sources(random_model(seed))
+            for parse, sources in ((parse_expression, exprs),
+                                   (parse_program, programs)):
+                for source in sorted(sources):
+                    fresh = _outcome(parse.__wrapped__, source)
+                    assert _outcome(parse, source) == fresh, source
+                    assert _outcome(parse, source) == fresh, source
+                    checked += 1
+        assert checked > 100

@@ -3,8 +3,11 @@ simulator."""
 
 import pytest
 
-from repro.sweep import make_spec, run_sweep
+from repro.machine.network import NetworkConfig
+from repro.machine.params import SystemParameters
+from repro.sweep import make_spec, run_jobs, run_sweep
 from repro.sweep.runner import clear_preflight_memo
+from repro.sweep.spec import make_job
 from repro.uml.builder import ModelBuilder
 
 
@@ -33,6 +36,14 @@ def clean_model():
     bar = d.barrier()
     f = d.final()
     d.chain(i, a, bar, f)
+    return b.build()
+
+
+def invalid_model():
+    """Checks fail: the action's cost calls an undefined function."""
+    b = ModelBuilder("invalid")
+    d = b.diagram("main", main=True)
+    d.sequence(d.action("compute", cost="undefined_cost()"))
     return b.build()
 
 
@@ -79,3 +90,27 @@ class TestPreflight:
         hits_before = _PREFLIGHT_MEMO.stats()["hits"]
         run_sweep(spec, cache=None)
         assert _PREFLIGHT_MEMO.stats()["hits"] > hits_before
+
+    def test_invalid_model_fails_per_job_not_the_sweep(self):
+        """An unresolvable model fails each of its jobs with its own
+        error, exactly as with the pre-flight off — it never takes the
+        whole sweep down."""
+        spec = make_spec(invalid_model(), processes=[2],
+                         backends=["analytic", "codegen"])
+        screened = run_sweep(spec, cache=None)
+        unscreened = run_sweep(spec, cache=None, preflight=False)
+        assert [r.status for r in screened] == ["error", "error"]
+        for job_result in screened:
+            assert job_result.error.startswith("CheckError: ")
+        assert screened.to_csv() == unscreened.to_csv()
+
+    def test_malformed_xml_fails_per_job_not_the_sweep(self):
+        jobs = [make_job(index, "<model", "f" * 64, backend,
+                         SystemParameters(processes=2), NetworkConfig())
+                for index, backend in enumerate(["codegen", "interp"])]
+        screened = run_jobs(jobs)
+        unscreened = run_jobs(jobs, preflight=False)
+        for job_result in screened:
+            assert job_result.status == "error"
+            assert job_result.error.startswith("XmlFormatError: ")
+        assert screened.to_csv() == unscreened.to_csv()

@@ -2,15 +2,23 @@
 
 Covers the engine's contract points: an empty grid, a single point, a
 job that raises (captured, sweep completes), ≥90% cache hits on a
-repeated sweep, and byte-identical serial vs process-pool results.
+repeated sweep, byte-identical serial vs process-pool results, and the
+front end running once per model per call (never stale after an
+in-place model edit).
 """
+
+import sys
+from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.samples import build_kernel6_model
 from repro.sweep import (
     ResultCache,
     SweepSpec,
+    expand,
+    make_scenario_spec,
     make_spec,
     run_sweep,
 )
@@ -215,3 +223,159 @@ class TestResultTables:
 
     def test_speedup_tables_empty_for_single_process(self):
         assert run_sweep(kernel_spec()).speedup_tables() == ""
+
+
+def _count_calls(monkeypatch, counts: Counter, owner, name: str) -> None:
+    """Count calls of ``owner.name`` under ``name`` — and, for a module
+    function, of every binding other ``repro`` modules imported by
+    name, so no caller escapes the count."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    if isinstance(owner, type):
+        return
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro.") \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def _cold_memos() -> None:
+    from repro.estimator.backends import (clear_plan_cache,
+                                          clear_prepared_cache)
+    from repro.sweep.runner import (clear_preflight_memo,
+                                    clear_worker_memos)
+    clear_worker_memos()
+    clear_prepared_cache()
+    clear_plan_cache()
+    clear_preflight_memo()
+
+
+class TestFrontEndOnce:
+    """Each model's front end (parse, check, IR) runs once per call and
+    every backend and the pre-flight share the result."""
+
+    def test_each_model_resolves_once_per_call(self, monkeypatch):
+        import repro.analysis.cfg
+        import repro.transform.algorithm
+        import repro.xmlio.reader
+        from repro.checker import ModelChecker
+        from repro.sweep.runner import _WORKER_MODELS_LIMIT
+        spec = make_scenario_spec(
+            "stencil2d",
+            {"nx": [8, 16, 24, 32, 40, 48, 56, 64],
+             "iters": [1, 2, 3, 4, 5]},
+            processes=[2, 4], backends=["analytic", "codegen", "interp"])
+        variants = len({job.model_hash for job in expand(spec)})
+        assert variants == 40 > _WORKER_MODELS_LIMIT
+        _cold_memos()
+        counts: Counter = Counter()
+        _count_calls(monkeypatch, counts, repro.xmlio.reader,
+                     "model_from_xml")
+        _count_calls(monkeypatch, counts, ModelChecker, "assert_valid")
+        _count_calls(monkeypatch, counts, repro.transform.algorithm,
+                     "build_ir")
+        _count_calls(monkeypatch, counts, repro.analysis.cfg,
+                     "build_model_cfg")
+        resolutions = obs.counter("model_resolutions_total", "")
+        before = resolutions.value
+
+        result = run_sweep(spec, executor="serial")
+
+        assert len(result) == 240 and not result.failed()
+        assert counts == {"model_from_xml": variants,
+                          "assert_valid": variants,
+                          "build_ir": variants,
+                          "build_model_cfg": variants}
+        assert resolutions.value - before == variants
+
+    def test_invalid_model_fails_each_job_with_one_resolution(
+            self, monkeypatch):
+        """A model that fails its check fails every job with the same
+        error, without being parsed again for each pass or job."""
+        import repro.xmlio.reader
+        builder = ModelBuilder("Broken")
+        main = builder.diagram("Main", main=True)
+        main.sequence(main.action("A", cost="missing()"))
+        spec = make_spec(builder.build(), processes=[1, 2],
+                         backends=["analytic", "codegen", "interp"])
+        _cold_memos()
+        counts: Counter = Counter()
+        _count_calls(monkeypatch, counts, repro.xmlio.reader,
+                     "model_from_xml")
+        result = run_sweep(spec)
+        errors = {r.error for r in result}
+        assert len(result.failed()) == 6
+        assert len(errors) == 1
+        assert errors.pop().startswith("CheckError: ")
+        assert counts["model_from_xml"] == 1
+
+
+def build_editable_model():
+    """A guard, two costed actions and their names — all edited in
+    place by the staleness test below."""
+    builder = ModelBuilder("Editable")
+    builder.global_var("G", "int", "1")
+    main = builder.diagram("Main", main=True)
+    initial, final = main.initial(), main.final()
+    decision, merge = main.decision(), main.merge()
+    hot = main.action("Hot", cost="0.002")
+    cold = main.action("Cold", cost="0.001")
+    main.flow(initial, decision)
+    main.branch(decision, merge, ("G == 1", [hot]), ("else", [cold]))
+    main.flow(merge, final)
+    return builder.build()
+
+
+def _evaluations(model) -> dict:
+    """Every way a caller evaluates a model, per backend: a sweep,
+    ``evaluate_point``, and (simulated backends) a full-trace estimate
+    whose records carry the element names."""
+    from repro.estimator.backends import evaluate_point
+    from repro.estimator.manager import estimate
+    from repro.machine.params import SystemParameters
+    params = SystemParameters(processes=2)
+    out = {}
+    for backend in ("analytic", "codegen", "interp"):
+        swept = run_sweep(make_spec(model, processes=[2],
+                                    backends=[backend]))
+        [job_result] = list(swept)
+        out[backend, "sweep"] = (job_result.status,
+                                 job_result.predicted_time,
+                                 job_result.events)
+        out[backend, "point"] = evaluate_point(model, backend, params)
+        if backend != "analytic":
+            result = estimate(model, params, mode=backend)
+            out[backend, "trace"] = (
+                result.total_time,
+                sorted((r.kind, r.element, r.pid, r.start, r.end)
+                       for r in result.trace))
+    return out
+
+
+class TestInPlaceEdits:
+    def test_edited_model_is_never_served_stale(self):
+        from repro.xmlio.reader import model_from_xml
+        from repro.xmlio.writer import model_to_xml
+        model = build_editable_model()
+        before = _evaluations(model)
+
+        main = model.diagram("Main")
+        [guarded] = [edge for edge in main.edges if edge.guard == "G == 1"]
+        guarded.guard = "G == 2"
+        cold = next(node for node in main.nodes if node.name == "Cold")
+        cold.cost = "0.003"
+        cold.name = "Chilly"
+
+        after = _evaluations(model)
+        fresh = _evaluations(model_from_xml(model_to_xml(model)))
+        assert after == fresh
+        for backend in ("analytic", "codegen", "interp"):
+            assert after[backend, "sweep"] != before[backend, "sweep"]
+        for backend in ("codegen", "interp"):
+            names = {record[1] for record in after[backend, "trace"][1]}
+            assert "Chilly" in names and "Cold" not in names
