@@ -61,11 +61,10 @@ PRE_PR_REFERENCE = {
 #: every run, smoke included; a regression fails the harness.
 OBS_OVERHEAD_BUDGET = 1.03
 
-#: Hard ceiling on the fault-tolerant/chunked pool dispatch wall-time
-#: ratio on a fault-free run — what the deadline/retry machinery
-#: (windowed futures, wave barriers, deadline-aware waits) may cost a
-#: sweep that never needs it.  Asserted on every run with pool
-#: benchmarks enabled.
+#: Hard ceiling on the armed/unarmed pool dispatch wall-time ratio on a
+#: fault-free run — what arming a deadline and a retry budget (deadline
+#: clocks, deadline-aware waits) may cost a sweep that never needs
+#: them.  Asserted on every run with pool benchmarks enabled.
 CHAOS_OVERHEAD_BUDGET = 1.05
 
 #: Hard ceiling on the routed/direct warm-request latency ratio with
@@ -109,21 +108,14 @@ def _cold_sweep_spec(models):
                      backends=["codegen", "interp"], seeds=[0])
 
 
-def _cold_sweep(models, trace: str, executor: str = "serial",
-                max_workers=None, min_pool_jobs=None,
-                job_timeout=None, max_retries=0):
+def _cold_sweep(models, trace: str, executor="serial", max_workers=None):
     """One cold 3-scenario sweep; returns (wall_s, total events)."""
-    from repro.sweep import DEFAULT_MIN_POOL_JOBS, run_sweep
+    from repro.sweep import run_sweep
     spec = _cold_sweep_spec(models)
     _clear_memos()
     start = time.perf_counter()
     result = run_sweep(spec, cache=None, executor=executor,
-                       max_workers=max_workers, trace=trace,
-                       min_pool_jobs=(DEFAULT_MIN_POOL_JOBS
-                                      if min_pool_jobs is None
-                                      else min_pool_jobs),
-                       job_timeout=job_timeout,
-                       max_retries=max_retries)
+                       max_workers=max_workers, trace=trace)
     wall = time.perf_counter() - start
     failed = [r for r in result if r.status != "ok"]
     if failed:
@@ -251,7 +243,7 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
     #    number keeps tracking raw pool startup cost.
     if processes_bench:
         from repro.estimator.backends import SIMULATED_BACKENDS
-        from repro.sweep import DEFAULT_MIN_POOL_JOBS, expand, \
+        from repro.sweep import ProcessPoolExecutor, expand, \
             pool_dispatch
         # Count from the real expanded spec, so the recorded decision
         # cannot drift from what run_sweep actually does.
@@ -263,18 +255,17 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
                                 executor="process", max_workers=2),
             max(1, repeats - 1))
         forced_wall, _ = _best(
-            lambda: _cold_sweep(models, trace="summary",
-                                executor="process", max_workers=2,
-                                min_pool_jobs=0),
+            lambda: _cold_sweep(
+                models, trace="summary",
+                executor=ProcessPoolExecutor(max_workers=2)),
             max(1, repeats - 1))
         benchmarks["cold_sweep_3scenario_pool2"] = {
             "description": "same sweep requested on the process pool, "
-                           "2 workers; `dispatched` is what the "
-                           "min-pool-jobs heuristic actually ran "
-                           "(forced_pool_* bypasses it and includes "
-                           "pool startup)",
-            "dispatched": pool_dispatch("process", simulated_jobs,
-                                        DEFAULT_MIN_POOL_JOBS),
+                           "2 workers; `dispatched` is what the pool "
+                           "floor actually ran (forced_pool_* passes a "
+                           "ProcessPoolExecutor object, which bypasses "
+                           "it, and includes pool startup)",
+            "dispatched": pool_dispatch("process", simulated_jobs),
             "wall_s": round(pool_wall, 4),
             "speedup_vs_serial_summary": round(
                 summary_wall / pool_wall, 3),
@@ -394,57 +385,57 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
             f"{overhead_rounds} interleaved rounds per side)")
 
     # 7. Fault-tolerance machinery overhead: the same cold sweep forced
-    #    onto the pool, chunked-map dispatch vs the windowed
-    #    deadline/retry dispatcher with a never-hit deadline and a
-    #    retry budget armed on a fault-free run.  Same noise-proof
-    #    estimator as the observability contract (order-alternated
-    #    interleaving, best-over-best, retried attempts) — this ratio
-    #    is a hard budget too: resilience must be ~free when nothing
-    #    fails, or nobody arms it.
+    #    onto the pool, the dispatcher unarmed vs armed with a never-hit
+    #    deadline and a retry budget on a fault-free run.  Same
+    #    noise-proof estimator as the observability contract
+    #    (order-alternated interleaving, best-over-best, retried
+    #    attempts) — this ratio is a hard budget too: resilience must be
+    #    ~free when nothing fails, or nobody arms it.
     if processes_bench:
-        def _chunked_pool():
+        from repro.sweep import ProcessPoolExecutor, RetryPolicy
+
+        def _unarmed_pool():
             return _cold_sweep(models, trace="summary",
-                               executor="process", max_workers=2,
-                               min_pool_jobs=0)
+                               executor=ProcessPoolExecutor(
+                                   max_workers=2))
 
         def _armed_pool():
             return _cold_sweep(models, trace="summary",
-                               executor="process", max_workers=2,
-                               min_pool_jobs=0, job_timeout=300.0,
-                               max_retries=2)
+                               executor=ProcessPoolExecutor(
+                                   max_workers=2, job_timeout=300.0,
+                                   policy=RetryPolicy(max_retries=2)))
 
-        chaos_calibration, _ = _chunked_pool()
+        chaos_calibration, _ = _unarmed_pool()
         chaos_rounds = min(
             12, max(4, math.ceil(2.0 / max(chaos_calibration, 0.1))))
         chaos_attempts = 0
         chaos_overhead = math.inf
-        best_chunked = best_armed = math.inf
+        best_unarmed = best_armed = math.inf
         while chaos_attempts < 3 and \
                 chaos_overhead > CHAOS_OVERHEAD_BUDGET:
             chaos_attempts += 1
-            chunked_walls = []
+            unarmed_walls = []
             armed_walls = []
             for i in range(chaos_rounds):
                 if i % 2:
                     armed_walls.append(_armed_pool()[0])
-                    chunked_walls.append(_chunked_pool()[0])
+                    unarmed_walls.append(_unarmed_pool()[0])
                 else:
-                    chunked_walls.append(_chunked_pool()[0])
+                    unarmed_walls.append(_unarmed_pool()[0])
                     armed_walls.append(_armed_pool()[0])
-            ratio = min(armed_walls) / min(chunked_walls)
+            ratio = min(armed_walls) / min(unarmed_walls)
             if ratio < chaos_overhead:
                 chaos_overhead = ratio
-                best_chunked = min(chunked_walls)
+                best_unarmed = min(unarmed_walls)
                 best_armed = min(armed_walls)
         benchmarks["chaos_sweep"] = {
             "description": "cold 3-scenario sweep forced onto a "
-                           "2-worker pool: chunked map dispatch vs "
-                           "the windowed deadline/retry dispatcher "
-                           "(job_timeout + max_retries armed, no "
-                           "faults); ratio is best-sweep over "
-                           "best-sweep across order-alternated "
-                           "interleaved rounds",
-            "wall_s_chunked": round(best_chunked, 4),
+                           "2-worker pool: the pool dispatcher "
+                           "unarmed vs armed (job_timeout + "
+                           "max_retries, no faults); ratio is "
+                           "best-sweep over best-sweep across "
+                           "order-alternated interleaved rounds",
+            "wall_s_unarmed": round(best_unarmed, 4),
             "wall_s_fault_tolerant": round(best_armed, 4),
             "rounds_per_side": chaos_rounds,
             "measurement_attempts": chaos_attempts,

@@ -347,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_sweep_axis_args(sub: argparse.ArgumentParser) -> None:
     """Model-source and grid-axis flags shared by sweep and profile."""
+    from repro.sweep import MIN_POOL_JOBS
     sub.add_argument("model", nargs="?",
                      help="model XML file (or use --kind/--scenario)")
     sub.add_argument("--kind",
@@ -393,23 +394,17 @@ def _add_sweep_axis_args(sub: argparse.ArgumentParser) -> None:
                           "served from it)")
     sub.add_argument("--jobs", type=int, default=0,
                      help="run on a process pool with this many workers "
-                          "(0 = serial)")
-    sub.add_argument("--min-pool-jobs", type=int, default=None,
-                     metavar="N",
-                     help="fewest pending simulated points that "
-                          "justify forking the pool (default 16; "
-                          "smaller sweeps silently run serial; 0 "
-                          "forces the pool; analytic points never "
-                          "count — they run on the in-process grid "
-                          "path)")
+                          f"(0 = serial; below the pool floor of "
+                          f"{MIN_POOL_JOBS} pending simulated points a "
+                          "sweep runs serial unless --job-timeout or "
+                          "--max-retries is set)")
     sub.add_argument("--no-analytic-grid", action="store_true",
                      help="evaluate analytic points one by one "
                           "instead of through the grid-compiled plan "
                           "(debug/benchmark switch; results are "
                           "byte-identical either way; per-point "
                           "analytic work still never counts toward "
-                          "the pool floor, so combine with "
-                          "--min-pool-jobs 0 to force a pool)")
+                          "the pool floor)")
     sub.add_argument("--trace-tier", choices=("full", "summary", "off"),
                      default="summary",
                      help="estimator recording tier for simulated "
@@ -648,8 +643,7 @@ def _sweep_models(args):
 
 def _run_sweep_from_args(args, progress=print):
     """Build the spec from shared sweep/profile axes and run it."""
-    from repro.sweep import Campaign, DEFAULT_MIN_POOL_JOBS, \
-        ResultCache, SweepSpec, run_sweep
+    from repro.sweep import Campaign, ResultCache, SweepSpec, run_sweep
 
     if args.scenario_param and not args.scenario:
         raise ProphetError("--scenario-param requires --scenario")
@@ -690,13 +684,10 @@ def _run_sweep_from_args(args, progress=print):
                                    durable=durable)
         progress(campaign.describe())
     executor = "process" if args.jobs > 0 else "serial"
-    min_pool_jobs = (DEFAULT_MIN_POOL_JOBS if args.min_pool_jobs is None
-                     else args.min_pool_jobs)
     return run_sweep(spec, cache=cache, executor=executor,
                      max_workers=args.jobs or None, progress=progress,
                      trace=args.trace_tier,
                      analytic_grid=not args.no_analytic_grid,
-                     min_pool_jobs=min_pool_jobs,
                      campaign=campaign)
 
 

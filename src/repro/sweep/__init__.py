@@ -54,7 +54,7 @@ from repro.sweep.grid import apply_overrides, expand, scenario_models
 from repro.sweep.resilient import RetryPolicy
 from repro.sweep.results import JobResult, SweepResult
 from repro.sweep.runner import (
-    DEFAULT_MIN_POOL_JOBS,
+    MIN_POOL_JOBS,
     ProcessPoolExecutor,
     SerialExecutor,
     execute_job,
@@ -82,6 +82,6 @@ __all__ = [
     "apply_overrides", "expand", "scenario_models",
     "JobResult", "SweepResult",
     "SerialExecutor", "ProcessPoolExecutor",
-    "DEFAULT_MIN_POOL_JOBS", "pool_dispatch",
+    "MIN_POOL_JOBS", "pool_dispatch",
     "execute_job", "run_jobs", "run_sweep", "shutdown_shared_pool",
 ]

@@ -1,37 +1,31 @@
-"""Fault-tolerant pool dispatch: deadlines, retries, quarantine.
+"""Pool dispatch: a sliding window of per-job futures with deadlines,
+retries and quarantine.
 
-The classic chunked ``pool.map`` path in :mod:`repro.sweep.runner` is
-the fast road for healthy sweeps, but it has two failure modes a long
-campaign cannot afford: a hung worker stalls the whole dispatch forever
-(``map`` has no per-job deadline), and a job that kills its worker
-breaks the entire executor, taking every sibling's result with it.
+Every job that reaches a worker pool, fresh or persistent, goes through
+:class:`ResilientDispatcher`.  Its one loop keeps two futures per worker
+in flight (one running, one queued behind it) and refills on every
+completion, so a healthy sweep pays neither a wave barrier nor a
+round-trip gap between jobs.
 
-:class:`ResilientDispatcher` replaces ``map`` with windowed per-job
-futures whenever a deadline, a retry budget, or a fault plan is armed:
-
-* **Deadlines** — at most ``workers`` jobs are in flight at once, so a
-  submitted job is actually *running* and its wall-clock deadline is
-  honest.  ``concurrent.futures.wait`` is woken at the nearest
-  deadline; an expired job is finalized as ``{"status": "timeout"}``,
-  the pool is recycled (its workers terminated — the only way to stop
-  a hung ``fork`` child), and innocent in-flight jobs re-enter the
-  queue with no retry penalty.  Timeouts are terminal: retrying a hang
-  just doubles the wall time the deadline was bought to bound.
-* **Retries** — a job that reports a transient failure (an injected
+* **Deadlines** — a job's clock starts when a worker is free for it.
+  The pool's call queue is first in, first out, so the first
+  ``workers`` unfinished futures in submission order are the running
+  ones.  An expired job is finalized as ``{"status": "timeout"}`` and
+  the pool is recycled (its workers terminated — the only way to stop a
+  hung ``fork`` child); innocent in-flight jobs re-enter the queue with
+  no retry penalty.  Timeouts are terminal: retrying a hang just
+  doubles the wall time the deadline was bought to bound.
+* **Retries** — a transient failure (an injected
   :class:`~repro.faults.TransientFault`, worker ``MemoryError``) is
   re-dispatched up to ``max_retries`` times with capped exponential
   backoff + deterministic jitter (:class:`RetryPolicy`).
 * **Quarantine** — when the pool breaks (``BrokenProcessPool``), every
-  unresolved in-flight job is a *suspect*.  Suspects re-run in
-  isolation, bisected into halves on each further break, until the
-  poison job is alone; a lone job that still breaks the pool
-  ``max_pool_breaks`` times is finalized as ``{"status":
-  "quarantined"}`` and never again allowed to abort siblings.
-
-Dispatch is wave-synchronous (the next wave starts when the previous
-one drains), which costs a small straggler barrier per wave — the
-``chaos_sweep`` benchmark bounds the fault-free overhead at ≤ 1.05×
-the chunked path.
+  unresolved in-flight job is a *suspect*.  The suspects re-run as one
+  isolated group; a group that breaks again splits in halves, and a job
+  that breaks the pool alone ``max_pool_breaks`` times is finalized as
+  ``{"status": "quarantined"}``.
+* **Lazy model fetch** — a ``need_model`` answer re-sends the job once,
+  with its XML attached.
 """
 
 from __future__ import annotations
@@ -39,6 +33,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -115,11 +110,18 @@ def terminate_pool_workers(pool) -> None:
         pass
 
 
+#: Futures in flight per worker: one running and one queued behind it,
+#: so a worker starts its next job without waiting a round trip for the
+#: parent to refill.  A three-deep window measured no better than two.
+WINDOW_PER_WORKER = 2
+
+
 class _JobState:
-    """Mutable dispatch bookkeeping for one job."""
+    """Mutable dispatch bookkeeping for one job; ``group`` is the
+    suspect-group tag (its members, compared by identity) or ``None``."""
 
     __slots__ = ("job", "light", "with_xml", "retries", "pool_breaks",
-                 "deadline", "last_error")
+                 "deadline", "last_error", "group")
 
     def __init__(self, job: SweepJob) -> None:
         self.job = job
@@ -129,6 +131,7 @@ class _JobState:
         self.pool_breaks = 0
         self.deadline = math.inf
         self.last_error = ""
+        self.group: tuple[_JobState, ...] | None = None
 
     @property
     def index(self) -> int:
@@ -168,7 +171,7 @@ def _recycles_total():
 
 
 class ResilientDispatcher:
-    """Windowed per-job dispatch with deadlines/retries/quarantine.
+    """Sliding-window per-job dispatch with deadlines/retries/quarantine.
 
     ``acquire`` returns a ready executor pool; ``recycle(pool)``
     irrevocably disposes of one (terminate workers + discard) — the
@@ -234,88 +237,28 @@ class ResilientDispatcher:
         """
         states = [_JobState(job) for job in jobs]
         self._outcomes = {}
-        queue: collections.deque[_JobState] = collections.deque(states)
+        ready: collections.deque[_JobState] = collections.deque(states)
         delayed: list[tuple[float, _JobState]] = []
-        while queue or delayed:
-            if delayed and not queue:
-                wake = min(ready for ready, _ in delayed)
-                time.sleep(max(0.0, wake - time.monotonic()))
+        # Insertion order is submission order, which the pool's FIFO
+        # call queue keeps: the first ``workers`` entries are running
+        # and the rest are queued behind them.
+        inflight: dict[concurrent.futures.Future, _JobState] = {}
+        while ready or delayed or inflight:
             if delayed:
                 now = time.monotonic()
-                due = [s for ready, s in delayed if ready <= now]
-                delayed = [(ready, s) for ready, s in delayed
-                           if ready > now]
-                queue.extend(due)
-            if not queue:
+                ready.extend(s for at, s in delayed if at <= now)
+                delayed = [(at, s) for at, s in delayed if at > now]
+            self._refill(ready, inflight)
+            if not inflight:  # ready is drained: wait for a retry
+                time.sleep(self._wait_s(inflight, delayed) or 0.0)
                 continue
-            wave = [queue.popleft()
-                    for _ in range(min(self.workers, len(queue)))]
-            self._run_group(wave, queue, delayed)
-        return [self._outcomes[state.index] for state in states]
-
-    def _run_group(self, group: list[_JobState],
-                   queue: collections.deque,
-                   delayed: list[tuple[float, _JobState]]) -> None:
-        """Run one wave (≤ ``workers`` jobs, all genuinely in flight);
-        recurses into bisection when the pool breaks underneath it."""
-        futures = self._submit(group, queue)
-        suspects = self._collect(futures, queue, delayed)
-        if suspects:
-            self._after_break(group, suspects, queue, delayed)
-
-    def _submit(self, group: list[_JobState],
-                queue: collections.deque) -> dict:
-        """Submit a wave; returns future → state.
-
-        A submit that fails (pool already broken, or unbuildable)
-        recycles and re-acquires once; if even the fresh pool refuses,
-        the first job runs in-process (guaranteed progress — injection
-        is not armed in the parent, so this cannot kill the sweep) and
-        the rest rejoin the queue.
-        """
-        for _ in range(2):
-            pool = self._ensure_pool()
-            futures: dict = {}
-            try:
-                for state in group:
-                    futures[pool.submit(self._execute, state.payload(),
-                                        self.trace)] = state
-                return futures
-            except Exception:  # noqa: BLE001 — broken/shut-down pool
-                if futures:
-                    # Partial wave: wait out what was accepted; the
-                    # leftovers rejoin the queue unharmed.
-                    queue.extendleft(
-                        s for s in reversed(group)
-                        if s not in futures.values())
-                    return futures
-                self._recycle()
-        state = group[0]
-        self._finalize(state, self._execute(state.job, self.trace))
-        queue.extendleft(reversed(group[1:]))
-        return {}
-
-    def _collect(self, futures: dict, queue: collections.deque,
-                 delayed: list[tuple[float, _JobState]]
-                 ) -> list[_JobState]:
-        """Wait a wave out; returns pool-break suspects (if any)."""
-        now = time.monotonic()
-        for state in futures.values():
-            state.deadline = (now + self.job_timeout
-                              if self.job_timeout is not None
-                              else math.inf)
-        pending = set(futures)
-        suspects: list[_JobState] = []
-        while pending:
-            timeout = None
-            if self.job_timeout is not None:
-                nearest = min(futures[f].deadline for f in pending)
-                timeout = max(0.0, nearest - time.monotonic())
-            done, pending = concurrent.futures.wait(
-                pending, timeout=timeout,
+            self._start_clocks(inflight)
+            done, _ = concurrent.futures.wait(
+                inflight, timeout=self._wait_s(inflight, delayed),
                 return_when=concurrent.futures.FIRST_COMPLETED)
-            for future in done:
-                state = futures[future]
+            suspects: list[_JobState] = []
+            for future in [f for f in inflight if f in done]:
+                state = inflight.pop(future)
                 try:
                     outcome = future.result()
                 except BrokenProcessPool:
@@ -325,50 +268,107 @@ class ResilientDispatcher:
                         "status": "error",
                         "error": f"{type(exc).__name__}: {exc}"})
                 else:
-                    self._settle(state, outcome, queue, delayed)
+                    self._settle(state, outcome, ready, delayed)
             if suspects:
                 # The executor fails every remaining future once it is
                 # broken; fold them in now instead of waiting them out.
-                suspects.extend(futures[f] for f in pending)
+                suspects.extend(inflight.values())
+                inflight.clear()
                 self._recycle()
-                return sorted(suspects, key=lambda s: s.index)
-            if not done and pending:
-                expired = [f for f in pending
-                           if futures[f].deadline <= time.monotonic()]
-                if expired:
-                    for future in expired:
-                        state = futures[future]
-                        _timeouts_total().inc()
-                        self._finalize(state, {
-                            "status": "timeout",
-                            "error": (f"TimeoutError: job exceeded its "
-                                      f"{self.job_timeout:g}s deadline "
-                                      f"(attempt {state.attempts})")})
-                    # The hung worker only stops if the pool dies with
-                    # it; innocents mid-flight rejoin the queue front
-                    # with no retry penalty.
-                    collateral = sorted(
-                        (futures[f] for f in pending
-                         if f not in expired),
-                        key=lambda s: s.index)
-                    queue.extendleft(reversed(collateral))
+                self._after_break(sorted(suspects, key=lambda s: s.index),
+                                  ready, delayed)
+            else:
+                self._expire(inflight, ready)
+        return [self._outcomes[state.index] for state in states]
+
+    def _refill(self, ready: collections.deque, inflight: dict) -> None:
+        """Top the window up from the head of ``ready``.  Everything in
+        flight shares one suspect-group tag, so a suspect group runs
+        with nothing beside it."""
+        while ready and len(inflight) < WINDOW_PER_WORKER * self.workers:
+            state = ready[0]
+            if inflight and \
+                    state.group is not next(iter(inflight.values())).group:
+                return
+            future = self._submit(state, may_recycle=not inflight)
+            if future is None and inflight:
+                return  # the futures in flight will show the break
+            ready.popleft()
+            if future is None:
+                self._finalize(state, self._execute(state.job, self.trace))
+            else:
+                state.deadline = math.inf
+                inflight[future] = state
+
+    def _submit(self, state: _JobState, may_recycle: bool):
+        """Submit one job; ``None`` if the pool refused it (broken or
+        shut down).  With ``may_recycle`` a refusal recycles and
+        re-acquires once; if even the fresh pool refuses, the caller
+        runs the job in-process (guaranteed progress — injection is not
+        armed in the parent, so this cannot kill the sweep)."""
+        for _ in range(2 if may_recycle else 1):
+            pool = self._ensure_pool()
+            try:
+                return pool.submit(self._execute, state.payload(),
+                                   self.trace)
+            except Exception:  # noqa: BLE001 — broken/shut-down pool
+                if may_recycle:
                     self._recycle()
-                    return []
-        return []
+        return None
+
+    def _start_clocks(self, inflight: dict) -> None:
+        """Start the deadline of each job a worker is free for: the
+        first ``workers`` in flight (FIFO), so every observed completion
+        starts the clock of the head of the queued jobs."""
+        if self.job_timeout is None:
+            return
+        now = time.monotonic()
+        for state in itertools.islice(inflight.values(), self.workers):
+            if state.deadline == math.inf:
+                state.deadline = now + self.job_timeout
+
+    def _wait_s(self, inflight: dict,
+                delayed: list[tuple[float, _JobState]]) -> float | None:
+        """Seconds to the nearest deadline or due retry (``None``: none)."""
+        wake = min([*(s.deadline for s in inflight.values()),
+                    *(at for at, _ in delayed)], default=math.inf)
+        return (None if wake == math.inf
+                else max(0.0, wake - time.monotonic()))
+
+    def _expire(self, inflight: dict, ready: collections.deque) -> None:
+        """Time out every running job past its deadline."""
+        now = time.monotonic()
+        expired = [f for f, s in inflight.items() if s.deadline <= now]
+        if not expired:
+            return
+        for future in expired:
+            state = inflight.pop(future)
+            _timeouts_total().inc()
+            self._finalize(state, {
+                "status": "timeout",
+                "error": (f"TimeoutError: job exceeded its "
+                          f"{self.job_timeout:g}s deadline "
+                          f"(attempt {state.attempts})")})
+        # The hung worker only stops if the pool dies with it; innocents
+        # in flight rejoin the queue front with no retry penalty.
+        ready.extendleft(reversed(list(inflight.values())))
+        inflight.clear()
+        self._recycle()
 
     def _settle(self, state: _JobState, outcome: dict,
-                queue: collections.deque,
+                ready: collections.deque,
                 delayed: list[tuple[float, _JobState]]) -> None:
         status = outcome.get("status")
-        if status == "need_model":
+        if status == "need_model" and not state.with_xml:
             # Persistent-pool lazy fetch: not a failure, re-send with
-            # the XML attached (no retry penalty).
+            # the XML attached (no retry penalty).  A job that already
+            # went with its XML, or has none, ends with the miss.
             obs.counter(
                 "sweep_pool_need_model_total",
                 "Jobs re-sent with XML after a worker lazy-fetch "
                 "miss.").inc()
             state.with_xml = True
-            queue.appendleft(state)
+            ready.appendleft(state)
             return
         if status == "transient":
             state.last_error = outcome.get("error", "transient failure")
@@ -380,18 +380,20 @@ class ResilientDispatcher:
                 return
             state.retries += 1
             _retries_total().inc()
-            ready = (time.monotonic()
-                     + self.policy.backoff_s(state.retries, self._rng))
-            delayed.append((ready, state))
+            delayed.append((time.monotonic()
+                            + self.policy.backoff_s(state.retries,
+                                                    self._rng), state))
             return
         self._finalize(state, outcome)
 
-    def _after_break(self, group: list[_JobState],
-                     suspects: list[_JobState],
-                     queue: collections.deque,
+    def _after_break(self, suspects: list[_JobState],
+                     ready: collections.deque,
                      delayed: list[tuple[float, _JobState]]) -> None:
-        """Bisect pool-break suspects down to the poison job."""
-        if len(group) == 1:
+        """Isolate the unresolved jobs of an in-flight set that broke the
+        pool: ordinary jobs re-run as one suspect group, a group splits
+        in halves, and a job alone in its group counts a pool break."""
+        group = suspects[0].group
+        if group is not None and len(group) == 1:
             state = group[0]
             state.pool_breaks += 1
             if state.pool_breaks >= self.policy.max_pool_breaks:
@@ -404,14 +406,21 @@ class ResilientDispatcher:
                 return
             state.retries += 1
             _retries_total().inc()
-            time.sleep(self.policy.backoff_s(state.pool_breaks,
-                                             self._rng))
-            self._run_group([state], queue, delayed)
+            delayed.append((time.monotonic()
+                            + self.policy.backoff_s(state.pool_breaks,
+                                                    self._rng), state))
             return
-        mid = (len(suspects) + 1) // 2
-        for half in (suspects[:mid], suspects[mid:]):
+        if group is None:
+            halves = [suspects]
+        else:
+            mid = (len(suspects) + 1) // 2
+            halves = [suspects[:mid], suspects[mid:]]
+        for half in reversed(halves):
             if half:
-                self._run_group(half, queue, delayed)
+                tag = tuple(half)
+                for state in half:
+                    state.group = tag
+                ready.extendleft(reversed(half))
 
 
 __all__ = ["ResilientDispatcher", "RetryPolicy",

@@ -20,12 +20,13 @@ Execution contract:
   repeated sweep is served from disk instead of re-simulated.
 
 Dispatch is ship-once: a sweep's model XML travels to each pool worker
-exactly one time (via the pool initializer), jobs cross the pickle
-boundary stripped of their XML, and they cross it in *chunks* rather
-than one round-trip per point.  A worker that still misses a model —
-possible on the shared persistent pool, whose workers outlive any one
-sweep — answers ``need_model`` and the runner re-sends just those jobs
-with the XML attached (the lazy-fetch fallback).
+exactly one time (via the pool initializer) and jobs cross the pickle
+boundary stripped of their XML, one future per job, two in flight per
+worker (:class:`~repro.sweep.resilient.ResilientDispatcher` is the one
+pool dispatch path).  A worker that still misses a model — possible on
+the shared persistent pool, whose workers outlive any one sweep —
+answers ``need_model`` and the dispatcher re-sends just that job with
+the XML attached (the lazy-fetch fallback).
 
 Front end once per model: a ``run_jobs`` call *resolves* each distinct
 model it runs in this process at most once — parse, check, lower to
@@ -51,16 +52,15 @@ by structural hash and dispatched through the grid-compiled plan path
 whole group shares one compilation and one vectorized replay, and the
 per-point payloads (and cache entries) are byte-identical to
 ``evaluate_point``'s.  Closed-form points are so cheap that shipping
-them to a pool only pays pickling tax, which feeds the dispatch
-heuristic: a fresh ``process`` pool is only forked when at least
-``min_pool_jobs`` *simulated* jobs are pending (analytic jobs never
+them to a pool only pays pickling tax, which feeds the pool floor: a
+fresh ``process`` pool is only forked when at least
+:data:`MIN_POOL_JOBS` *simulated* jobs are pending (analytic jobs never
 justify pool startup), otherwise the sweep silently runs serial.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import inspect
 import os
 import random
@@ -94,7 +94,7 @@ PAYLOAD_KEYS = ("predicted_time", "events", "trace_records")
 
 #: Worker-local memo: model structural hash → resolved ModelIR (parsed,
 #: checker-validated, lowered).  It carries models *across* calls — a
-#: pool worker's successive chunks, the persistent pool's long-lived
+#: pool worker's successive jobs, the persistent pool's long-lived
 #: workers, a service's successive batches.  Within one ``run_jobs``
 #: call every model is resolved once whatever this memo holds (see
 #: :func:`_job_model`).  LRU-evicting so a worker cycling through many
@@ -211,12 +211,6 @@ def execute_job(job: SweepJob, trace: str = "full",
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _execute_chunk(payload: tuple[str, list[SweepJob]]) -> list[dict]:
-    """Worker entry point: one pickle round-trip evaluates many jobs."""
-    trace, jobs = payload
-    return [execute_job(job, trace) for job in jobs]
-
-
 #: Pre-flight screening budgets: per-rank program points / comm events
 #: the static matcher may spend proving a pending simulated job doomed.
 #: Deliberately far below the analyzer's own budgets — exceeding them
@@ -304,25 +298,24 @@ def _preflight(pending: Sequence[SweepJob], models: Resolutions
     return runnable, skips
 
 
-#: Fewest pending *simulated* jobs that justify forking a fresh process
-#: pool.  Below this, pool startup dwarfs the work (the
+#: The pool floor: fewest pending *simulated* jobs that justify forking
+#: a fresh process pool.  Below this, pool startup dwarfs the work (the
 #: ``cold_sweep_3scenario_pool2`` benchmark measured 0.834× serial) and
 #: ``run_jobs`` silently runs serial instead.  Analytic jobs never
 #: count: they are grid-dispatched in-process.
-DEFAULT_MIN_POOL_JOBS = 16
+MIN_POOL_JOBS = 16
 
 
-def pool_dispatch(executor: str | object, simulated_jobs: int,
-                  min_pool_jobs: int = DEFAULT_MIN_POOL_JOBS):
+def pool_dispatch(executor: str | object, simulated_jobs: int):
     """The executor actually used for a batch of pending jobs.
 
     Only the fresh-pool ``"process"`` executor is downgraded: the
     persistent pool amortizes its startup across batches, the serial
     executor has nothing to downgrade to, and custom executor objects
-    are the caller's explicit choice.  ``min_pool_jobs=0`` disables the
-    heuristic.
+    (a ``ProcessPoolExecutor`` instance forces a pool) are the caller's
+    explicit choice.
     """
-    if executor == "process" and simulated_jobs < min_pool_jobs:
+    if executor == "process" and simulated_jobs < MIN_POOL_JOBS:
         return "serial"
     return executor
 
@@ -467,15 +460,15 @@ def _shared_pool(max_workers: int | None
         return _SHARED_POOL
 
 
-def _discard_shared_pool(pool) -> None:
-    """Forget ``pool`` if it is still the shared one (broken-pool path;
-    a replacement another thread already installed is left alone)."""
+def _recycle_shared_pool(pool) -> None:
+    """Kill ``pool``'s workers and forget it if it is still the shared
+    one (a replacement another thread already installed is left alone)."""
     global _SHARED_POOL, _SHARED_POOL_WORKERS
     with _SHARED_POOL_LOCK:
         if _SHARED_POOL is pool:
             _SHARED_POOL = None
             _SHARED_POOL_WORKERS = None
-    pool.shutdown(wait=False)
+    terminate_pool_workers(pool)
 
 
 def shutdown_shared_pool() -> None:
@@ -492,10 +485,11 @@ class ProcessPoolExecutor:
     """Run jobs on a ``concurrent.futures`` process pool.
 
     Ship-once dispatch: the sweep's model table travels to each worker
-    via the pool initializer, jobs are stripped of their XML, and they
-    are submitted in chunks (one pickle round-trip per chunk, not per
-    job).  ``map`` preserves submission order, so results line up with
-    jobs regardless of completion order.
+    via the pool initializer, and jobs, stripped of their XML, go out
+    one future each through the sliding window of
+    :class:`~repro.sweep.resilient.ResilientDispatcher`, which also
+    enforces any deadline, retry policy and quarantine.  Outcomes come
+    back in job order regardless of completion order.
 
     With ``persistent=True`` the module-level shared pool is (re)used
     instead of forking a fresh one; its workers may predate this sweep,
@@ -524,150 +518,24 @@ class ProcessPoolExecutor:
         if persistent:
             self.name = "process-persistent"
 
-    @property
-    def resilient(self) -> bool:
-        """Whether dispatch goes through the windowed deadline/retry
-        path instead of chunked ``map`` (the fast road)."""
-        return (self.job_timeout is not None
-                or (self.policy is not None
-                    and self.policy.max_retries > 0)
-                or self.fault_plan is not None)
-
-    def _chunks(self, jobs: Sequence[SweepJob],
-                trace: str) -> list[tuple[str, list[SweepJob]]]:
-        workers = self.max_workers or os.cpu_count() or 1
-        size = max(1, -(-len(jobs) // (4 * workers)))  # ceil division
-        return [(trace, list(jobs[i:i + size]))
-                for i in range(0, len(jobs), size)]
-
-    def _map_chunked(self, pool, jobs: Sequence[SweepJob],
-                     trace: str) -> list[dict]:
-        chunks = self._chunks(jobs, trace)
-        obs.counter("sweep_pool_chunks_total",
-                    "Job chunks shipped to pool workers.").inc(
-            len(chunks))
-        with obs.span("sweep.pool_dispatch", executor=self.name,
-                      chunks=len(chunks)):
-            start = time.perf_counter()
-            outcomes: list[dict] = []
-            for chunk_result in pool.map(_execute_chunk, chunks):
-                outcomes.extend(chunk_result)
-            obs.histogram(
-                "sweep_pool_dispatch_seconds",
-                "Wall time of one chunked pool dispatch (ship + "
-                "evaluate + collect).",
-                obs.LATENCY_BUCKETS_S).observe(
-                time.perf_counter() - start)
-        return outcomes
-
     def run(self, jobs: Sequence[SweepJob], trace: str = "full",
-            on_outcome: Callable[[SweepJob, dict], None] | None = None,
-            models: Resolutions | None = None) -> list[dict]:
+            on_outcome: Callable[[SweepJob, dict], None] | None = None
+            ) -> list[dict]:
         if not jobs:
             return []
-        if self.resilient:
-            # Deadlines/retries/faults need per-job futures (and must
-            # not shortcut single jobs into the parent, where injected
-            # kills have no worker to take down).
-            return self._run_resilient(jobs, trace, on_outcome)
-        if len(jobs) == 1:  # a pool for one job is pure overhead
-            outcomes = [execute_job(jobs[0], trace, models)]
-            if on_outcome is not None:
-                on_outcome(jobs[0], outcomes[0])
-            return outcomes
-        light = [dataclasses.replace(job, model_xml="") for job in jobs]
         if self.persistent:
-            pool = _shared_pool(self.max_workers)
-            try:
-                outcomes = self._run_with_fallback(pool, jobs, light,
-                                                   trace)
-            except (concurrent.futures.process.BrokenProcessPool,
-                    RuntimeError):
-                # A dead worker breaks the whole executor, and a
-                # concurrent caller resizing the shared pool can shut
-                # this one down mid-flight ("cannot schedule new
-                # futures after shutdown").  A per-sweep pool would
-                # recover by being re-forked next run, so give the
-                # persistent pool the same second chance.
-                _discard_shared_pool(pool)
-                pool = _shared_pool(self.max_workers)
-                try:
-                    outcomes = self._run_with_fallback(pool, jobs,
-                                                       light, trace)
-                except (concurrent.futures.process.BrokenProcessPool,
-                        RuntimeError):
-                    # Second failure in a row: something in this batch
-                    # reliably kills workers.  Degrade to per-job
-                    # isolation — never raise out of a dispatch.
-                    _discard_shared_pool(pool)
-                    outcomes = self._run_degraded(jobs, trace)
-        else:
-            # The persistent pool relies purely on the need_model lazy
-            # fetch; only a fresh pool ships the model table up front.
-            table = {job.model_hash: job.model_xml
-                     for job in jobs if job.model_xml}
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                        max_workers=self.max_workers,
-                        initializer=_pool_initializer,
-                        initargs=(table,)) as pool:
-                    outcomes = self._run_with_fallback(pool, jobs,
-                                                       light, trace)
-            except concurrent.futures.process.BrokenProcessPool:
-                # A fresh pool broke on first contact with this batch:
-                # some job kills its worker.  Per-job isolation keeps
-                # every innocent sibling's result.
-                outcomes = self._run_degraded(jobs, trace)
-        if on_outcome is not None:
-            for job, outcome in zip(jobs, outcomes):
-                on_outcome(job, outcome)
-        return outcomes
-
-    def _run_degraded(self, jobs: Sequence[SweepJob],
-                      trace: str) -> list[dict]:
-        """Last-ditch isolation after repeated pool breaks: one
-        single-worker pool per job, so a worker-killing job is captured
-        as exactly its own error and every innocent sibling still gets
-        a real result.  Never raises."""
-        obs.counter(
-            "sweep_degraded_dispatches_total",
-            "Dispatches that fell back to per-job isolation after "
-            "repeated pool breaks.").inc()
-        outcomes: list[dict] = []
-        for job in jobs:
-            table = ({job.model_hash: job.model_xml}
-                     if job.model_xml else {})
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                        max_workers=1, initializer=_pool_initializer,
-                        initargs=(table,)) as pool:
-                    outcome = pool.submit(execute_job, job,
-                                          trace).result()
-            except Exception as exc:  # noqa: BLE001 — per-job capture
-                outcome = {
-                    "status": "error",
-                    "error": (f"{type(exc).__name__}: {exc} (job "
-                              "isolated after repeated pool breaks; "
-                              "its own worker died too)")}
-            outcomes.append(outcome)
-        return outcomes
-
-    def _run_resilient(self, jobs: Sequence[SweepJob], trace: str,
-                       on_outcome) -> list[dict]:
-        """Windowed per-job dispatch with deadlines, retries, and
-        quarantine (see :mod:`repro.sweep.resilient`)."""
-        table = {job.model_hash: job.model_xml
-                 for job in jobs if job.model_xml}
-        payload = (self.fault_plan.to_payload()
-                   if self.fault_plan is not None else None)
-        if self.persistent:
+            # Its workers predate the batch: they rely purely on the
+            # need_model lazy fetch.
             def acquire():
                 return _shared_pool(self.max_workers)
 
-            def recycle(pool) -> None:
-                terminate_pool_workers(pool)
-                _discard_shared_pool(pool)
+            recycle = _recycle_shared_pool
         else:
+            table = {job.model_hash: job.model_xml
+                     for job in jobs if job.model_xml}
+            payload = (self.fault_plan.to_payload()
+                       if self.fault_plan is not None else None)
+
             def acquire():
                 return concurrent.futures.ProcessPoolExecutor(
                     max_workers=self.max_workers,
@@ -675,13 +543,16 @@ class ProcessPoolExecutor:
                     initargs=(table, payload))
 
             recycle = terminate_pool_workers
+        # ``execute_job`` is looked up per call, not bound at import:
+        # a caller that wraps the module-level name (a tracer) reaches
+        # forked workers too.
         dispatcher = ResilientDispatcher(
             acquire=acquire, recycle=recycle, execute=execute_job,
             workers=self.max_workers or os.cpu_count() or 1,
             job_timeout=self.job_timeout, policy=self.policy,
             trace=trace, on_outcome=on_outcome)
         with obs.span("sweep.pool_dispatch", executor=self.name,
-                      chunks=len(jobs)):
+                      jobs=len(jobs)):
             start = time.perf_counter()
             try:
                 outcomes = dispatcher.run(jobs)
@@ -691,28 +562,10 @@ class ProcessPoolExecutor:
                     pool.shutdown()
             obs.histogram(
                 "sweep_pool_dispatch_seconds",
-                "Wall time of one chunked pool dispatch (ship + "
-                "evaluate + collect).",
+                "Wall time of one pool dispatch (ship + evaluate + "
+                "collect).",
                 obs.LATENCY_BUCKETS_S).observe(
                 time.perf_counter() - start)
-        return outcomes
-
-    def _run_with_fallback(self, pool, jobs, light,
-                           trace: str) -> list[dict]:
-        outcomes = self._map_chunked(pool, light, trace)
-        misses = [index for index, outcome in enumerate(outcomes)
-                  if outcome.get("status") == "need_model"]
-        if misses:
-            obs.counter(
-                "sweep_pool_need_model_total",
-                "Jobs re-sent with XML after a worker lazy-fetch "
-                "miss.").inc(len(misses))
-            # Lazy fetch: re-send just the missed jobs with their XML
-            # attached; the worker parses, memoizes, and answers.
-            retried = self._map_chunked(
-                pool, [jobs[index] for index in misses], trace)
-            for index, outcome in zip(misses, retried):
-                outcomes[index] = outcome
         return outcomes
 
 
@@ -784,7 +637,6 @@ def run_jobs(jobs: Sequence[SweepJob],
              progress: Callable[[str], None] | None = None,
              trace: str = "summary",
              analytic_grid: bool = True,
-             min_pool_jobs: int = DEFAULT_MIN_POOL_JOBS,
              dispatch_lock: threading.Lock | None = None,
              cache_stats: CacheStats | None = None,
              preflight: bool = True,
@@ -795,18 +647,23 @@ def run_jobs(jobs: Sequence[SweepJob],
              campaign: Campaign | None = None) -> SweepResult:
     """Execute pre-expanded jobs: cache lookup → run misses → assemble.
 
-    Fault tolerance: ``job_timeout`` arms a per-job wall-clock deadline
-    on the pool executors (a hung worker yields a ``timeout`` result
-    and a recycled worker, not a stalled sweep); ``max_retries`` (or a
-    full ``retry_policy``) re-dispatches transient failures with
-    exponential backoff + jitter, and a job that repeatedly breaks the
-    pool is bisected out and ``quarantined``; ``fault_plan`` injects
-    deterministic faults (chaos tests and the chaos benchmark).  Any of
-    the three routes pool dispatch through the windowed
-    :class:`~repro.sweep.resilient.ResilientDispatcher` instead of
-    chunked ``map`` — and keeps the ``process`` executor even below
-    ``min_pool_jobs``, because deadlines and injected kills need real
-    workers.
+    ``max_workers`` sizes a pool executor (``None``: one worker per
+    CPU); below 1 it is rejected.  ``executor="process"`` runs serial
+    when fewer than :data:`MIN_POOL_JOBS` simulated jobs are pending
+    (see :func:`pool_dispatch`); pass a :class:`ProcessPoolExecutor`
+    object to force a pool.
+
+    Fault tolerance: every pool sweep runs through the sliding-window
+    :class:`~repro.sweep.resilient.ResilientDispatcher`, so a job that
+    repeatedly breaks the pool is bisected out and ``quarantined``
+    whatever the knobs.  ``job_timeout`` arms a per-job wall-clock
+    deadline on the pool executors (a hung worker yields a ``timeout``
+    result and a recycled worker, not a stalled sweep); ``max_retries``
+    (or a full ``retry_policy``) re-dispatches transient failures with
+    exponential backoff + jitter; ``fault_plan`` injects deterministic
+    faults (chaos tests and the chaos benchmark).  Any of the three
+    keeps the ``process`` executor even below the pool floor, because
+    deadlines and injected kills need real workers.
 
     ``campaign`` journals every finished job's fingerprint next to the
     result cache: on resume, journaled failures are reported without
@@ -830,8 +687,7 @@ def run_jobs(jobs: Sequence[SweepJob],
     ``analytic_grid`` routes analytic cache misses through the
     grid-compiled plan path (byte-identical payloads; ``False`` forces
     classic per-point evaluation — benchmarks and differential tests
-    use it).  ``min_pool_jobs`` is the fresh-pool dispatch floor (see
-    :func:`pool_dispatch`; ``0`` disables the heuristic).
+    use it).
 
     ``dispatch_lock`` is the *executor-ownership* lock for concurrent
     callers (the evaluation service): it is taken only around the
@@ -850,6 +706,10 @@ def run_jobs(jobs: Sequence[SweepJob],
     if job_timeout is not None and not job_timeout > 0:
         raise ProphetError(
             f"job_timeout must be > 0 seconds, got {job_timeout!r}")
+    if max_workers is not None and max_workers < 1:
+        raise ProphetError(
+            f"max_workers must be >= 1 (or None for one per CPU), got "
+            f"{max_workers!r}")
     policy = retry_policy
     if policy is None and max_retries:
         policy = RetryPolicy(max_retries=max_retries)
@@ -946,15 +806,15 @@ def run_jobs(jobs: Sequence[SweepJob],
     chosen = executor
     if not (fault_tolerant and executor == "process"):
         # Deadlines and injected kills need real pool workers, so the
-        # min-pool-jobs downgrade is skipped when they are armed.
-        chosen = pool_dispatch(executor, simulated_jobs, min_pool_jobs)
+        # pool floor is skipped when they are armed.
+        chosen = pool_dispatch(executor, simulated_jobs)
     runner = make_executor(chosen, max_workers,
                            job_timeout=job_timeout, policy=policy,
                            fault_plan=fault_plan)
     runner_name = getattr(runner, "name", "custom")
     obs.counter("sweep_dispatch_total",
                 "Executor actually chosen per dispatch (after the "
-                "min-pool-jobs heuristic).",
+                "pool floor).",
                 labelnames=("executor",)).labels(runner_name).inc()
     if progress is not None and jobs:
         resume_note = (f", {len(resumed)} resumed from campaign "
@@ -1069,7 +929,6 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
               progress: Callable[[str], None] | None = None,
               trace: str = "summary",
               analytic_grid: bool = True,
-              min_pool_jobs: int = DEFAULT_MIN_POOL_JOBS,
               preflight: bool = True,
               job_timeout: float | None = None,
               max_retries: int | None = None,
@@ -1092,7 +951,7 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
     return run_jobs(jobs, cache=cache, executor=executor,
                     max_workers=max_workers, progress=progress,
                     trace=trace, analytic_grid=analytic_grid,
-                    min_pool_jobs=min_pool_jobs, preflight=preflight,
+                    preflight=preflight,
                     job_timeout=job_timeout,
                     max_retries=max_retries or 0,
                     retry_policy=retry_policy, fault_plan=fault_plan,
@@ -1100,7 +959,7 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
 
 
 __all__ = [
-    "DEFAULT_MIN_POOL_JOBS", "PREFLIGHT_EVENT_CAP",
+    "MIN_POOL_JOBS", "PREFLIGHT_EVENT_CAP",
     "PREFLIGHT_OP_BUDGET", "ProcessPoolExecutor", "RetryPolicy",
     "SerialExecutor", "clear_preflight_memo", "clear_worker_memos",
     "execute_job", "make_executor", "pool_dispatch", "run_jobs",

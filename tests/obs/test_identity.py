@@ -32,10 +32,12 @@ def _spec():
 
 
 def _run_csv(executor: str, instrumented: bool) -> str:
+    from repro.sweep import ProcessPoolExecutor
     _clear_memos()
     kwargs = {"executor": executor}
     if executor == "process":
-        kwargs.update(max_workers=2, min_pool_jobs=0)
+        # An executor object forces the pool below the pool floor.
+        kwargs["executor"] = ProcessPoolExecutor(max_workers=2)
     if instrumented:
         with obs.detail(), obs.profiling():
             result = run_sweep(_spec(), cache=None, **kwargs)

@@ -15,8 +15,9 @@ import pytest
 from repro import faults
 from repro.faults import Fault, FaultPlan
 from repro.samples import build_kernel6_model
-from repro.sweep import RetryPolicy, make_spec, run_sweep
-from repro.sweep.runner import ProcessPoolExecutor, SerialExecutor
+from repro.sweep import RetryPolicy, make_spec, run_jobs, run_sweep
+from repro.sweep.runner import ProcessPoolExecutor, SerialExecutor, \
+    shutdown_shared_pool
 from repro.sweep.grid import expand
 from repro.util.hashing import canonical_json
 
@@ -171,55 +172,104 @@ class TestDeadlines:
         assert by_index[0].attempts == 1  # never retried
         assert by_index[1].ok
 
+    def test_queued_job_clock_starts_when_a_worker_is_free(self):
+        """Two jobs per worker are in flight, so half of them wait
+        behind a slow one; a clock started at submission would time
+        every waiting job out."""
+        spec = kernel_spec(processes=[2], backends=["interp"],
+                           seeds=range(6))
+        plan = FaultPlan(faults={index: Fault("hang", hang_s=1.0)
+                                 for index in range(6)})
+        result = run_sweep(spec, executor="process", max_workers=2,
+                           job_timeout=1.6, fault_plan=plan)
+        assert [r.status for r in result] == ["ok"] * 6, \
+            [r.error for r in result]
 
-class TestDegradedDispatch:
-    """Satellite: the double-BrokenProcessPool path must degrade to
-    per-job isolation, never raise out of a dispatch."""
 
-    def _broken(self, *args, **kwargs):
+class _RefusingPool:
+    """A pool that is already broken: every submit raises."""
+
+    def __init__(self):
+        self.shut_down = False
+
+    def submit(self, *args, **kwargs):
         raise concurrent.futures.process.BrokenProcessPool(
             "synthetic break")
 
-    def test_fresh_pool_break_degrades_per_job(self, monkeypatch):
-        executor = ProcessPoolExecutor(max_workers=2)
-        monkeypatch.setattr(executor, "_run_with_fallback",
-                            self._broken)
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+class TestBrokenPoolRecovery:
+    """A pool that refuses a submit is recycled and replaced; a job no
+    pool accepts runs in-process.  No dispatch ever raises."""
+
+    @staticmethod
+    def _fresh_pools(monkeypatch, refusing):
+        """Make the first ``refusing`` fresh pools refuse every submit;
+        returns every pool built, in order."""
+        real = concurrent.futures.ProcessPoolExecutor
+        built = []
+
+        def build(*args, **kwargs):
+            pool = (_RefusingPool() if len(built) < refusing
+                    else real(*args, **kwargs))
+            built.append(pool)
+            return pool
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            build)
+        return built
+
+    def test_fresh_pool_break_recovers_on_a_new_pool(self, monkeypatch):
+        built = self._fresh_pools(monkeypatch, refusing=1)
         jobs = expand(kernel_spec(processes=[1, 2],
                                   backends=["interp"]))
-        outcomes = executor.run(jobs, trace="summary")
-        assert [o["status"] for o in outcomes] == ["ok", "ok"]
+        result = run_jobs(jobs,
+                          executor=ProcessPoolExecutor(max_workers=2))
+        assert all(r.ok for r in result)
+        assert len(built) == 2 and built[0].shut_down
 
-    def test_persistent_double_break_degrades_per_job(self,
-                                                      monkeypatch):
-        from repro.sweep.runner import shutdown_shared_pool
-        executor = ProcessPoolExecutor(max_workers=2, persistent=True)
-        calls = []
+    def test_shared_pool_break_is_discarded_and_replaced(self,
+                                                         monkeypatch):
+        import repro.sweep.runner as runner_module
+        shutdown_shared_pool()
+        broken = _RefusingPool()
+        monkeypatch.setattr(runner_module, "_SHARED_POOL", broken)
+        monkeypatch.setattr(runner_module, "_SHARED_POOL_WORKERS", 2)
+        acquired = []
+        real_shared_pool = runner_module._shared_pool
 
-        def flaky(pool, jobs, light, trace):
-            calls.append(pool)
-            raise concurrent.futures.process.BrokenProcessPool(
-                "synthetic break")
+        def tracking_shared_pool(max_workers):
+            acquired.append(real_shared_pool(max_workers))
+            return acquired[-1]
 
-        monkeypatch.setattr(executor, "_run_with_fallback", flaky)
+        monkeypatch.setattr(runner_module, "_shared_pool",
+                            tracking_shared_pool)
         jobs = expand(kernel_spec(processes=[1, 2],
                                   backends=["interp"]))
         try:
-            outcomes = executor.run(jobs, trace="summary")
+            outcomes = ProcessPoolExecutor(
+                max_workers=2, persistent=True).run(jobs,
+                                                    trace="summary")
+            replacement = runner_module._SHARED_POOL
         finally:
             shutdown_shared_pool()
-        assert len(calls) == 2          # retried once, then degraded
-        assert calls[0] is not calls[1]  # on a replacement pool
         assert [o["status"] for o in outcomes] == ["ok", "ok"]
+        assert broken.shut_down
+        # One recycle, then every job ran on the replacement.
+        assert acquired == [broken, replacement]
 
-    def test_degraded_outcomes_feed_normal_assembly(self, monkeypatch):
-        from repro.sweep import run_jobs
-        executor = ProcessPoolExecutor(max_workers=2)
-        monkeypatch.setattr(executor, "_run_with_fallback",
-                            self._broken)
+    def test_twice_refused_submit_runs_one_job_in_process(self,
+                                                          monkeypatch):
+        built = self._fresh_pools(monkeypatch, refusing=2)
         jobs = expand(kernel_spec(processes=[1, 2],
                                   backends=["interp"]))
-        result = run_jobs(jobs, executor=executor)
-        assert all(r.ok for r in result)
+        outcomes = ProcessPoolExecutor(max_workers=2).run(
+            jobs, trace="summary")
+        assert [o["status"] for o in outcomes] == ["ok", "ok"]
+        # Job 0 ran here after two refusals; job 1 on the third pool.
+        assert len(built) == 3
 
 
 class TestPersistentGuards:
@@ -233,7 +283,6 @@ class TestPersistentGuards:
     def test_persistent_resilient_deadline_works(self):
         """Deadlines on the persistent pool route through the
         dispatcher's lazy need_model fetch (no initializer)."""
-        from repro.sweep.runner import shutdown_shared_pool
         spec = kernel_spec(processes=[2], backends=["interp"],
                            seeds=range(3))
         try:

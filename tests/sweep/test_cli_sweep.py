@@ -146,14 +146,6 @@ class TestNetworkAxesAndGridFlags:
         assert "grid group(s)" not in out
         assert csv_a.read_text() == csv_b.read_text()
 
-    def test_min_pool_jobs_flag_forces_the_pool(self, capsys):
-        code = main(["sweep", "--kind", "kernel6",
-                     "--processes", "1,2", "--backends", "codegen",
-                     "--jobs", "2", "--min-pool-jobs", "0",
-                     "--no-table"])
-        assert code == 0
-        assert "process executor" in capsys.readouterr().out
-
     def test_small_simulated_sweep_falls_back_to_serial(self, capsys):
         code = main(["sweep", "--kind", "kernel6",
                      "--processes", "1,2", "--backends", "codegen",

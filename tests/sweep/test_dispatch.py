@@ -1,4 +1,4 @@
-"""Ship-once dispatch: chunked pools, model tables, lazy fetch.
+"""Ship-once dispatch: per-job pool futures, model tables, lazy fetch.
 
 The dispatch contract: however jobs travel to workers — serially, on a
 fresh ship-once pool, or on the shared persistent pool whose workers
@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import ProphetError
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
 from repro.samples import build_sample_model
@@ -17,7 +18,6 @@ from repro.sweep import ResultCache, make_spec, run_sweep
 from repro.sweep.grid import expand
 from repro.sweep.runner import (
     ProcessPoolExecutor,
-    _execute_chunk,
     _pool_initializer,
     clear_worker_memos,
     execute_job,
@@ -46,10 +46,10 @@ class TestExecutorEquivalence:
     def test_serial_pool_and_persistent_byte_identical(self, tmp_path):
         spec = small_spec()
         serial = run_sweep(spec, executor="serial")
-        # min_pool_jobs=0 bypasses the dispatch heuristic so this small
+        # An executor object bypasses the pool floor, so this small
         # sweep really crosses the pool.
-        pool = run_sweep(spec, executor="process", max_workers=2,
-                         min_pool_jobs=0)
+        pool = run_sweep(spec,
+                         executor=ProcessPoolExecutor(max_workers=2))
         try:
             persistent = run_sweep(spec, executor="process-persistent",
                                    max_workers=2)
@@ -63,52 +63,6 @@ class TestExecutorEquivalence:
                                        ("persistent", persistent),
                                        ("persistent-again", again)]}
         assert len(set(tables.values())) == 1, tables.keys()
-
-    def test_broken_persistent_pool_recovers(self):
-        """A dead worker must not poison every later batch: the shared
-        pool is discarded and the sweep retried on a fresh one."""
-        import concurrent.futures
-        import repro.sweep.runner as runner_module
-
-        class BrokenOnce:
-            def __init__(self):
-                self.broke = False
-
-            def map(self, fn, iterable):
-                if not self.broke:
-                    self.broke = True
-                    raise concurrent.futures.process.BrokenProcessPool(
-                        "worker died")
-                return map(fn, iterable)
-
-            def shutdown(self, wait=True):
-                pass
-
-        shutdown_shared_pool()
-        broken = BrokenOnce()
-        runner_module._SHARED_POOL = broken
-        runner_module._SHARED_POOL_WORKERS = 2
-
-        real_shared_pool = runner_module._shared_pool
-        fresh = []
-
-        def tracking_shared_pool(max_workers):
-            pool = real_shared_pool(max_workers)
-            fresh.append(pool)
-            return pool
-
-        runner_module._shared_pool = tracking_shared_pool
-        try:
-            executor = ProcessPoolExecutor(max_workers=2,
-                                           persistent=True)
-            jobs = expand(small_spec())
-            outcomes = executor.run(jobs, trace="summary")
-        finally:
-            runner_module._shared_pool = real_shared_pool
-            shutdown_shared_pool()
-        assert broken.broke
-        assert fresh[0] is broken and fresh[1] is not broken
-        assert [o["status"] for o in outcomes] == ["ok"] * len(jobs)
 
     def test_persistent_pool_reused_across_sweeps(self):
         import repro.sweep.runner as runner_module
@@ -143,12 +97,19 @@ class TestShipOnceTable:
         assert outcome == {"status": "need_model",
                            "model_hash": job.model_hash}
 
-    def test_execute_chunk_shape(self):
-        job, xml = _job()
+    def test_unavailable_model_fails_the_job_on_a_pool(self):
+        """A job without XML whose worker has no copy of the model is
+        reported once, not re-sent forever."""
+        from repro.sweep import run_jobs
+        jobs = [dataclasses.replace(job, model_xml="")
+                for job in expand(make_spec(build_sample_model(),
+                                            processes=[1, 2],
+                                            backends=["codegen"]))]
         clear_worker_memos()
-        outcomes = _execute_chunk(("summary", [job, job]))
-        assert [o["status"] for o in outcomes] == ["ok", "ok"]
-        assert outcomes[0] == outcomes[1]
+        result = run_jobs(jobs,
+                          executor=ProcessPoolExecutor(max_workers=2))
+        assert [r.status for r in result] == ["error", "error"]
+        assert all("unavailable on worker" in r.error for r in result)
 
     def test_lazy_fetch_fallback_end_to_end(self):
         """A pool whose workers have no table (persistent-pool shape)
@@ -160,14 +121,6 @@ class TestShipOnceTable:
         finally:
             shutdown_shared_pool()
         assert [o["status"] for o in outcomes] == ["ok"] * len(jobs)
-
-    def test_chunking_covers_every_job_in_order(self):
-        executor = ProcessPoolExecutor(max_workers=2)
-        jobs = expand(small_spec())
-        chunks = executor._chunks(jobs, "summary")
-        flattened = [job for _, chunk in chunks for job in chunk]
-        assert [j.index for j in flattened] == [j.index for j in jobs]
-        assert all(tag == "summary" for tag, _ in chunks)
 
 
 class TestTraceTierCaching:
@@ -218,15 +171,14 @@ class TestLegacyExecutorCompat:
 class TestPoolDispatchHeuristic:
     """Small sweeps must not pay pool startup they cannot amortize:
     the fresh ``process`` executor silently downgrades to serial below
-    ``min_pool_jobs`` pending *simulated* points (analytic points are
+    ``MIN_POOL_JOBS`` pending *simulated* points (analytic points are
     grid-dispatched in-process and never justify a pool)."""
 
     def test_decision_table(self):
-        from repro.sweep import DEFAULT_MIN_POOL_JOBS, pool_dispatch
+        from repro.sweep import MIN_POOL_JOBS, pool_dispatch
         assert pool_dispatch("process", 3) == "serial"
-        assert pool_dispatch("process",
-                             DEFAULT_MIN_POOL_JOBS) == "process"
-        assert pool_dispatch("process", 3, min_pool_jobs=0) == "process"
+        assert pool_dispatch("process", MIN_POOL_JOBS - 1) == "serial"
+        assert pool_dispatch("process", MIN_POOL_JOBS) == "process"
         # Only the fresh pool is downgraded.
         assert pool_dispatch("serial", 0) == "serial"
         assert pool_dispatch("process-persistent",
@@ -252,8 +204,8 @@ class TestPoolDispatchHeuristic:
 
     def test_forced_pool_still_forks(self):
         lines = []
-        result = run_sweep(small_spec(), executor="process",
-                           max_workers=2, min_pool_jobs=0,
+        result = run_sweep(small_spec(),
+                           executor=ProcessPoolExecutor(max_workers=2),
                            progress=lines.append)
         assert result.failed() == []
         assert "process executor" in lines[0]
@@ -281,6 +233,20 @@ class TestPoolDispatchHeuristic:
                                progress=lines.append)
             assert result.failed() == []
             assert "serial executor" in lines[0]
+
+
+class TestMaxWorkersValidation:
+    """An out-of-range pool size is a caller error on every sweep: it
+    used to escape as a bare ``ValueError`` from ``concurrent.futures``
+    on a large sweep and be ignored on a small one."""
+
+    @pytest.mark.parametrize("max_workers", [0, -2])
+    @pytest.mark.parametrize("seeds", [1, 12], ids=["small", "large"])
+    def test_out_of_range_max_workers_rejected(self, max_workers, seeds):
+        spec = make_spec(build_sample_model(), processes=[1, 2],
+                         backends=["codegen"], seeds=list(range(seeds)))
+        with pytest.raises(ProphetError, match="max_workers must be"):
+            run_sweep(spec, executor="process", max_workers=max_workers)
 
 
 class TestAnalyticGridRouting:
