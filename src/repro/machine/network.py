@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 from repro.errors import EstimatorError
 from repro.util.hashing import stable_hash
-from repro.sim.core import Simulation
+from repro.sim.core import Simulation, hold
 from repro.sim.facility import Facility
 
 
@@ -92,15 +92,21 @@ class Network:
         latency, bandwidth = effective_parameters(self.config, intra_node)
         return latency + nbytes / bandwidth
 
-    def transfer(self, nbytes: float, intra_node: bool):
-        """Generator: occupy the wire for one message's transfer time."""
+    def start_transfer(self, nbytes: float,
+                       intra_node: bool) -> tuple[float, Facility | None]:
+        """Account one message; return its transfer time and the shared
+        link it must hold for that time (``None`` when uncontended)."""
         duration = self.transfer_time(nbytes, intra_node)
         self.bytes_moved += nbytes
         self.messages += 1
-        if self.link is not None and not intra_node:
-            yield from self.link.use(duration)
+        return duration, (None if intra_node else self.link)
+
+    def transfer(self, nbytes: float, intra_node: bool):
+        """Generator: occupy the wire for one message's transfer time."""
+        duration, link = self.start_transfer(nbytes, intra_node)
+        if link is not None:
+            yield from link.use(duration)
         else:
-            from repro.sim.core import hold
             yield from hold(duration)
 
     def tree_depth(self, participants: int) -> int:

@@ -10,6 +10,29 @@ Everything richer (facility queueing, mailboxes, barriers) is built from
 these two by ``yield from`` composition, so the kernel stays tiny and
 auditable.
 
+The calendar
+------------
+
+The calendar is a heap of ``(time, counter, entry)`` triples; the
+counter breaks ties in scheduling order.  The run loop needs only two
+things from an entry: a ``done`` flag (a finished entry's stale triples
+are skipped) and an ``_advance()`` method (one step; popping it counts
+as one event).  :meth:`Event.fire` reschedules every waiter the same
+way, so anything with those two members may wait on an event too.
+
+Two kinds of entry meet that contract:
+
+* a :class:`SimProcess` (:meth:`Simulation.spawn`) — a generator body,
+  listed in :attr:`Simulation.all_processes` and in deadlock reports;
+* a :class:`CalendarEntry` — a small hand-written state machine that
+  steps like a process without being one.  A message in flight
+  (:mod:`repro.workload.mpi`) is one: it is created per send, so it
+  skips the generator, the closure and the :class:`SimProcess` a
+  spawned process costs.  It counts as active until it finishes, so a
+  run cannot end with one on the calendar, but it is never listed as a
+  process: it blocks only on a facility grant that the holder always
+  releases.
+
 Command encoding
 ----------------
 
@@ -287,6 +310,47 @@ class SimProcess:
         return f"<SimProcess {self.name!r} {state}>"
 
 
+class CalendarEntry:
+    """Base of calendar entries that are not processes (see the module
+    docstring): a subclass implements :meth:`_advance` as a small state
+    machine over the helpers below.
+
+    Construction schedules the first step at the current time.  It
+    takes the same two counter values :meth:`Simulation.spawn` takes —
+    one for a process's ``seq``, one for the first calendar push — so an
+    entry that replaces a spawned process keeps every tie-break, and
+    with them every result, byte-identical.
+    """
+
+    __slots__ = ("sim", "done")
+
+    def __init__(self, sim: "Simulation") -> None:
+        self.sim = sim
+        self.done = False
+        next(sim._counter)  # the seq a spawned process would take
+        sim._active += 1
+        heappush(sim._heap, (sim.now, next(sim._counter), self))
+
+    def _advance(self) -> None:
+        raise NotImplementedError
+
+    def _hold(self, delay: float) -> None:
+        """Schedule the next step ``delay`` seconds from now."""
+        sim = self.sim
+        heappush(sim._heap, (sim.now + delay, next(sim._counter), self))
+
+    def _wait(self, event: Event) -> None:
+        """Take the next step when ``event`` fires (now if it has)."""
+        if event._fired:
+            self._hold(0.0)
+        else:
+            event._waiters.append(self)
+
+    def _finish(self) -> None:
+        self.done = True
+        self.sim._active -= 1
+
+
 class Simulation:
     """The event calendar and scheduler."""
 
@@ -301,7 +365,13 @@ class Simulation:
     # -- construction -------------------------------------------------------
 
     def spawn(self, name: str, generator: Generator) -> SimProcess:
-        """Create a process and schedule its first step at the current time."""
+        """Create a process and schedule its first step at the current time.
+
+        Takes two counter values: the process's ``seq``, then its first
+        calendar push (a :class:`CalendarEntry` takes the same two).
+        The process is listed in :attr:`all_processes` for the rest of
+        the run.
+        """
         process = SimProcess(self, name, next(self._counter), generator)
         self._processes.append(process)
         self._active += 1
@@ -427,6 +497,9 @@ class Simulation:
 
     @property
     def all_processes(self) -> Iterable[SimProcess]:
+        """Every process spawned so far, in spawn order.  Calendar
+        entries that are not processes (messages in flight) are not
+        listed."""
         return tuple(self._processes)
 
 

@@ -17,15 +17,6 @@ from repro.sim.core import Event, Simulation
 from repro.sim.stats import TimeWeighted
 
 
-class _Grant:
-    """Handed to a queued requester when a server frees up."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event: Event) -> None:
-        self.event = event
-
-
 class Facility:
     """A multi-server FCFS facility."""
 
@@ -38,7 +29,7 @@ class Facility:
         self._grant_name = name + ".grant"  # shared by all queued grants
         self.servers = servers
         self._free = servers
-        self._queue: deque[_Grant] = deque()
+        self._queue: deque[Event] = deque()  # FCFS grants
         # statistics
         self._busy = TimeWeighted(sim)       # number of busy servers
         self._queue_length = TimeWeighted(sim)
@@ -47,18 +38,30 @@ class Facility:
 
     # -- acquisition ------------------------------------------------------------
 
-    def request(self) -> Generator:
-        """Acquire one server, FCFS; ``yield from facility.request()``."""
+    def acquire(self) -> Event | None:
+        """Take one server now, or join the FCFS queue.
+
+        Returns ``None`` when a server was free.  Otherwise returns the
+        grant event to wait on: :meth:`release` fires it once it has
+        handed the caller its server.  The one acquisition path —
+        :meth:`request`, :meth:`use` and callers that are not processes
+        (a message in flight on a contended link) all take it.
+        """
         self.requests += 1
         if self._free > 0:
             self._free -= 1
             self._busy.record(self.servers - self._free)
-            return
-        grant = _Grant(Event(self.sim, self._grant_name))
+            return None
+        grant = Event(self.sim, self._grant_name)
         self._queue.append(grant)
         self._queue_length.record(len(self._queue))
-        yield grant.event  # raw-Event wait (see sim.core command encoding)
-        # Server ownership was transferred by release(); nothing to do.
+        return grant
+
+    def request(self) -> Generator:
+        """Acquire one server, FCFS; ``yield from facility.request()``."""
+        grant = self.acquire()
+        if grant is not None:
+            yield grant  # raw-Event wait (see sim.core command encoding)
 
     def release(self) -> None:
         """Release one server; hands it to the longest-waiting requester."""
@@ -70,7 +73,7 @@ class Facility:
         if self._queue:
             grant = self._queue.popleft()
             self._queue_length.record(len(self._queue))
-            grant.event.fire()
+            grant.fire()
             # busy count unchanged: the server moved to the next owner.
             self._busy.record(busy)
         else:
@@ -80,21 +83,15 @@ class Facility:
     def use(self, service_time: float) -> Generator:
         """request → hold(service_time) → release (CSIM's ``use``).
 
-        The free-server acquisition is inlined (``request()`` spelled
-        out) so the common uncontended case costs no nested generator.
+        The acquisition is a plain call, so the common uncontended case
+        costs no nested generator.
         """
         if service_time < 0:
             raise SimulationError(
                 f"negative service time {service_time} at {self.name!r}")
-        self.requests += 1
-        if self._free > 0:
-            self._free -= 1
-            self._busy.record(self.servers - self._free)
-        else:
-            grant = _Grant(Event(self.sim, self._grant_name))
-            self._queue.append(grant)
-            self._queue_length.record(len(self._queue))
-            yield grant.event  # raw-Event wait
+        grant = self.acquire()
+        if grant is not None:
+            yield grant  # raw-Event wait
         try:
             if service_time > 0:
                 yield float(service_time)  # raw-float hold

@@ -1,11 +1,14 @@
 """Message-passing workload elements (MPI-like semantics over the sim).
 
 Point-to-point: eager sends below the network's rendezvous threshold
-(sender pays only its software overhead; a wire process delivers the
-message after the Hockney transfer time), synchronous rendezvous above it
-(sender blocks until the receiver has pulled the data).  Receives match on
-``(source, tag)`` with -1 as the *any* wildcard, over the per-process
-unexpected-message queue (:class:`repro.sim.mailbox.Mailbox`).
+(sender pays only its software overhead; the message is delivered after
+the Hockney transfer time), synchronous rendezvous above it (the envelope
+arrives after one latency, and the sender blocks until the receiver has
+pulled the data).  Either way the message travels as a :class:`_Delivery`
+— a calendar entry, not a simulation process (see :mod:`repro.sim.core`).
+Receives match on ``(source, tag)`` with -1 as the *any* wildcard, over
+the per-process unexpected-message queue
+(:class:`repro.sim.mailbox.Mailbox`).
 
 Collectives use event-synchronized binomial-tree cost models (the standard
 Hockney-based formulas): participants of the *n*-th invocation of a given
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import EstimatorError
 from repro.machine.cluster import Cluster
-from repro.sim.core import Event, Simulation, hold
+from repro.sim.core import CalendarEntry, Event, Simulation, hold
 from repro.sim.mailbox import Mailbox
 from repro.workload.context import ExecContext
 from repro.workload.elements import ModelElement
@@ -34,6 +37,64 @@ class _Message:
     tag: int
     nbytes: float
     sync: Event | None = None  # rendezvous completion (None for eager)
+
+
+class _Delivery(CalendarEntry):
+    """One message in flight, from send to the destination mailbox.
+
+    It steps exactly like the process it replaces (same counter values,
+    same calendar pushes, same number of steps), so results and event
+    counts are unchanged:
+
+    1. Compute the delay — for an eager message its transfer time (and
+       account it on the network), for a rendezvous envelope one
+       latency — and schedule step 2 at ``now + delay``.  On a
+       contended link the message first queues for the link FCFS
+       (:meth:`Facility.acquire`); the grant wakes it for this step's
+       remainder, holding the link.
+    2. Release the link, if held, and deposit the message.
+
+    A zero delay deposits within step 1, as ``hold(0)`` did.
+    """
+
+    __slots__ = ("mailbox", "message", "network", "intra", "delay",
+                 "link", "_arriving")
+
+    def __init__(self, sim: Simulation, mailbox: Mailbox,
+                 message: _Message, network, intra: bool,
+                 delay: float | None = None) -> None:
+        super().__init__(sim)
+        self.mailbox = mailbox
+        self.message = message
+        self.network = network
+        self.intra = intra
+        self.delay = delay  # None: an eager transfer, timed at step 1
+        self.link = None
+        self._arriving = False
+
+    def _advance(self) -> None:
+        if self._arriving:
+            self._arrive()
+            return
+        if self.delay is None:
+            self.delay, self.link = self.network.start_transfer(
+                self.message.nbytes, self.intra)
+            if self.link is not None:
+                grant = self.link.acquire()
+                if grant is not None:
+                    self._wait(grant)  # resumes here holding the link
+                    return
+        if self.delay > 0:
+            self._arriving = True
+            self._hold(self.delay)
+        else:
+            self._arrive()
+
+    def _arrive(self) -> None:
+        if self.link is not None:
+            self.link.release()
+        self.mailbox.send(self.message)
+        self._finish()
 
 
 @dataclass
@@ -91,34 +152,23 @@ class Communicator:
         network = self.cluster.network
         intra = self.cluster.same_node(source, dest)
         self.p2p_messages += 1
+        envelope_delay = self._envelope_delay[intra]
         if nbytes <= network.config.eager_threshold:
-            # Eager: wire process delivers after the transfer time; the
+            # Eager: the message travels for its transfer time while the
             # sender pays only its software overhead (one latency).
-            # Constant process/event names below: per-send f-strings were
-            # a measurable share of the eager path.
-            message = _Message(source, dest, tag, nbytes)
-
-            def wire():
-                yield from network.transfer(nbytes, intra)
-                self.mailboxes[dest].send(message)
-
-            self.sim.spawn("wire", wire())
-            yield from hold(self._envelope_delay[intra])
+            _Delivery(self.sim, self.mailboxes[dest],
+                      _Message(source, dest, tag, nbytes), network, intra)
+            yield from hold(envelope_delay)
         else:
-            # Rendezvous: envelope travels one latency; the sender then
-            # blocks until the receiver has pulled the payload.
+            # Rendezvous: the envelope travels one latency; the sender
+            # then blocks until the receiver has pulled the payload.
             # Rendezvous sends are few and large — keep the peer names
             # in the event so a deadlocked sender still reports who it
             # was waiting on (the eager path stays allocation-lean).
             sync = Event(self.sim, f"rndv.{source}->{dest}")
-            message = _Message(source, dest, tag, nbytes, sync=sync)
-            envelope_delay = self._envelope_delay[intra]
-
-            def envelope():
-                yield from hold(envelope_delay)
-                self.mailboxes[dest].send(message)
-
-            self.sim.spawn("rts", envelope())
+            _Delivery(self.sim, self.mailboxes[dest],
+                      _Message(source, dest, tag, nbytes, sync=sync),
+                      network, intra, envelope_delay)
             yield from sync.wait()
 
     def recv(self, ctx: ExecContext, source: int, nbytes: float, tag: int):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.core import Event, Hold, Simulation, Wait, hold
+from repro.sim.core import (CalendarEntry, Event, Hold, Simulation, Wait,
+                            hold)
 
 
 class TestBasicExecution:
@@ -422,3 +423,89 @@ class TestDeterminism:
         sim.spawn("p", body())
         sim.run()
         assert sim.events_processed >= 2
+
+
+class _Relay(CalendarEntry):
+    """Waits on ``gate`` (if any), holds ``delay``, then logs — what a
+    process body ``yield gate; yield delay; log`` does."""
+
+    __slots__ = ("gate", "delay", "log", "_stage")
+
+    def __init__(self, sim, delay, log, gate=None):
+        super().__init__(sim)
+        self.gate = gate
+        self.delay = delay
+        self.log = log
+        self._stage = 0
+
+    def _advance(self):
+        self._stage += 1
+        if self._stage == 1 and self.gate is not None:
+            self._wait(self.gate)
+        elif self._stage <= 2 and self.delay > 0:
+            self._stage = 2
+            self._hold(self.delay)
+        else:
+            self.log.append(("relay", self.sim.now))
+            self._finish()
+
+
+class TestCalendarEntries:
+    """A :class:`CalendarEntry` steps like the process it replaces."""
+
+    @staticmethod
+    def _race(make_relay):
+        sim = Simulation()
+        log = []
+        gate = sim.event("gate")
+
+        def other(tag, delay):
+            yield delay
+            log.append((tag, sim.now))
+            gate.fire()
+
+        sim.spawn("a", other("a", 1.0))
+        make_relay(sim, log, gate)
+        sim.spawn("b", other("b", 1.0))
+        sim.run()
+        return log, sim.events_processed, [p.name for p in sim.all_processes]
+
+    @pytest.mark.parametrize("gated", (False, True))
+    def test_same_order_events_as_a_spawned_process(self, gated):
+        def as_process(sim, log, gate):
+            def body():
+                if gated:
+                    yield gate
+                yield 1.0
+                log.append(("relay", sim.now))
+            sim.spawn("relay", body())
+
+        def as_entry(sim, log, gate):
+            _Relay(sim, 1.0, log, gate if gated else None)
+
+        process_log, process_events, process_names = self._race(as_process)
+        entry_log, entry_events, entry_names = self._race(as_entry)
+        assert entry_log == process_log
+        assert entry_events == process_events
+        assert process_names == ["a", "relay", "b"]
+        assert entry_names == ["a", "b"]  # never listed as a process
+
+    def test_entry_counts_as_active_until_it_finishes(self):
+        sim = Simulation()
+        log = []
+        _Relay(sim, 2.0, log)
+        assert sim.active_processes == 1
+        sim.run(until=1.0)
+        assert sim.active_processes == 1 and log == []
+        assert sim.run() == 2.0
+        assert sim.active_processes == 0 and log == [("relay", 2.0)]
+
+    def test_waiting_on_a_fired_event_steps_at_once(self):
+        sim = Simulation()
+        log = []
+        gate = sim.event("gate")
+        gate.fire()
+        _Relay(sim, 0.0, log, gate)
+        sim.run()
+        assert log == [("relay", 0.0)]
+        assert sim.events_processed == 2

@@ -141,6 +141,21 @@ class TestFacility:
         assert cpu.busy_time() == pytest.approx(sum(demands))
 
 
+    def test_acquire_grants_then_queues(self):
+        # The one acquisition path: a free server is taken at once; a
+        # busy facility hands back the grant release() fires.
+        sim = Simulation()
+        link = Facility(sim, "link")
+        assert link.acquire() is None
+        grant = link.acquire()
+        assert grant is not None and not grant.fired
+        assert link.queue_length == 1 and link.busy_servers == 1
+        link.release()
+        assert grant.fired
+        assert link.queue_length == 0 and link.busy_servers == 1
+        assert (link.requests, link.completions) == (2, 1)
+
+
 class TestStorage:
     def test_allocate_within_capacity(self):
         sim = Simulation()

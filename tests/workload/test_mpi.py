@@ -165,6 +165,98 @@ class TestPointToPoint:
             sim.run()
 
 
+class TestMessagesInFlight:
+    """A message in flight is a calendar entry, not a process."""
+
+    @pytest.mark.parametrize("contention", (False, True))
+    @pytest.mark.parametrize("nbytes", (500, 5000))  # eager, rendezvous
+    def test_sends_spawn_no_process(self, nbytes, contention):
+        sim, comm, ctx = (_contended_world() if contention
+                          else make_world(nodes=2, ppn=1))
+
+        def sender():
+            yield from comm.send(ctx[0], dest=1, nbytes=nbytes, tag=0)
+
+        def receiver():
+            yield from comm.recv(ctx[1], source=0, nbytes=nbytes, tag=0)
+
+        sim.spawn("s", sender())
+        sim.spawn("r", receiver())
+        sim.run()
+        assert [p.name for p in sim.all_processes] == ["s", "r"]
+        assert comm.p2p_messages == 1
+        # Two steps for the message, as the process it replaced took.
+        assert sim.events_processed == (6 if nbytes == 500 else 7)
+
+    def test_a_message_in_flight_keeps_the_run_active(self):
+        # Eager 500 B: the sender is done at 1 ms, the message lands at
+        # 1.5 ms.  At 1.2 ms only the receiver is a live process, but
+        # the message still counts, so the run cannot end early.
+        sim, comm, ctx = make_world()
+
+        def sender():
+            yield from comm.send(ctx[0], dest=1, nbytes=500, tag=0)
+
+        def receiver():
+            yield from comm.recv(ctx[1], source=0, nbytes=500, tag=0)
+
+        sim.spawn("s", sender())
+        sim.spawn("r", receiver())
+        assert sim.run(until=1.2e-3) == 1.2e-3
+        assert [p.name for p in sim.all_processes if not p.done] == ["r"]
+        assert sim.active_processes == 2
+        assert sim.run() == pytest.approx(1.5e-3)
+        assert sim.active_processes == 0
+
+    @pytest.mark.parametrize("eager_threshold", (0.0, 65536.0))
+    @pytest.mark.parametrize("scenario", ("fork_join", "master_worker",
+                                          "pipeline", "stencil2d"))
+    def test_model_runs_spawn_only_ranks_and_strands(
+            self, monkeypatch, scenario, eager_threshold):
+        import re
+
+        from repro.estimator.manager import PerformanceEstimator
+        from repro.scenarios import build_scenario
+        from repro.sim import core
+
+        names = []
+        spawn = core.Simulation.spawn
+
+        def recording_spawn(self, name, generator):
+            names.append(name)
+            return spawn(self, name, generator)
+
+        monkeypatch.setattr(core.Simulation, "spawn", recording_spawn)
+        estimator = PerformanceEstimator(
+            SystemParameters(nodes=2, processors_per_node=2, processes=4),
+            NetworkConfig(eager_threshold=eager_threshold))
+        try:
+            result = estimator.estimate(build_scenario(scenario),
+                                        mode="codegen", check=False)
+        except DeadlockError:
+            result = None  # every-send-rendezvous master_worker
+        assert names[:4] == ["rank0", "rank1", "rank2", "rank3"]
+        strand = re.compile(r".*\.p\d+\.(t|arm)\d+$")
+        assert all(strand.match(name) for name in names[4:]), names
+        if result is not None and scenario != "fork_join":
+            assert result.trace_counts["send"] > 0
+
+
+def _contended_world():
+    """Two ranks on two nodes sharing one contended link."""
+    sim = Simulation()
+    params = SystemParameters(nodes=2, processors_per_node=1, processes=2)
+    cluster = Cluster(sim, params, NetworkConfig(
+        latency=1e-3, bandwidth=1e6, eager_threshold=1000.0,
+        contention=True, links=1))
+    comm = Communicator(sim, cluster)
+    runtime = RuntimeState(sim=sim, cluster=cluster, comm=comm,
+                           trace=TraceRecorder())
+    contexts = [ExecContext(runtime, ProcessState(pid, VarStore()), tid=0)
+                for pid in range(2)]
+    return sim, comm, contexts
+
+
 class TestCollectives:
     def run_collective(self, processes, body, **world_kwargs):
         sim, comm, ctx = make_world(processes=processes, **world_kwargs)
