@@ -58,7 +58,7 @@ LATENCY_BUCKETS_S: tuple[float, ...] = (
 SIZE_BUCKETS: tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)
 
-#: Large-count layout (events per run, heap depth).
+#: Large-count layout (events per run).
 COUNT_BUCKETS: tuple[float, ...] = (
     10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
 

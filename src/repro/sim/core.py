@@ -71,18 +71,6 @@ def _run_metrics():
     )
 
 
-def _detail_metrics():
-    """Extra families the instrumented (detail-gated) loop records."""
-    return (
-        _obs.histogram("sim_events_per_run",
-                       "Events processed by one Simulation.run() call.",
-                       _obs.COUNT_BUCKETS),
-        _obs.histogram("sim_heap_depth_peak",
-                       "Peak event-calendar depth per instrumented run.",
-                       _obs.COUNT_BUCKETS),
-    )
-
-
 def _check_delay(delay) -> None:
     """The one negative-delay check (shared by ``Hold`` and ``hold``)."""
     if delay < 0:
@@ -395,15 +383,10 @@ class Simulation:
         processes are still blocked on events.
 
         Observability: the coarse counters (runs, events) are recorded
-        once per call; with the :func:`repro.obs.detail` gate on, the
-        run executes an instrumented twin of the loop that also tracks
-        peak calendar depth.  Both loops are behaviourally identical —
-        instrumentation only *reads* state — so results are
-        byte-identical either way; the lean loop stays free of even
-        the gate check per event.
+        once per call, and with the :func:`repro.obs.detail` gate on,
+        the per-run event count too — all from ``finally``, so the loop
+        itself never checks the gate.
         """
-        if _obs.detail_enabled():
-            return self._run_instrumented(until, max_events)
         heap = self._heap
         processed = self.events_processed
         try:
@@ -428,56 +411,12 @@ class Simulation:
             runs, events = _run_metrics()
             runs.inc()
             events.inc(processed - self.events_processed)
-            self.events_processed = processed
-        if self._active > 0:
-            self._raise_deadlock()
-        return self.now
-
-    def _run_instrumented(self, until: float | None,
-                          max_events: int) -> float:
-        """The detail-gated twin of the :meth:`run` loop.
-
-        Identical control flow plus a calendar-depth sample every
-        256th event; the duplication is deliberate — PR 4 stripped the
-        lean loop to the bone, and even one dead branch per event is
-        measurable at sweep scale.  Sampling (rather than reading the
-        depth after every event) keeps this loop within the bench
-        harness's overhead budget; the peak is deterministic for a
-        given model, and the export buckets are decades wide, so the
-        sampling error never moves a bucket.
-        """
-        heap = self._heap
-        processed = self.events_processed
-        heap_peak = len(heap)
-        try:
-            while heap:
-                entry = heappop(heap)
-                time = entry[0]
-                if until is not None and time > until:
-                    heappush(heap, entry)  # keep it for a resumed run()
-                    self.now = until
-                    return until
-                self.now = time
-                process = entry[2]
-                if process.done:
-                    continue
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "runaway model?")
-                process._advance()
-                if not processed & 255:
-                    depth = len(heap)
-                    if depth > heap_peak:
-                        heap_peak = depth
-        finally:
-            runs, events = _run_metrics()
-            runs.inc()
-            events.inc(processed - self.events_processed)
-            per_run, peak = _detail_metrics()
-            per_run.observe(processed - self.events_processed)
-            peak.observe(heap_peak)
+            if _obs.detail_enabled():
+                _obs.histogram(
+                    "sim_events_per_run",
+                    "Events processed by one Simulation.run() call.",
+                    _obs.COUNT_BUCKETS,
+                ).observe(processed - self.events_processed)
             self.events_processed = processed
         if self._active > 0:
             self._raise_deadlock()

@@ -85,7 +85,6 @@ class TestExportDeterminism:
         # families — dropping the timing ones must not empty it.
         for name in ("prophet_sim_events_total",
                      "prophet_sim_events_per_run",
-                     "prophet_sim_heap_depth_peak",
                      "prophet_sim_ops_total",
                      "prophet_estimator_runs_total",
                      "prophet_sweep_jobs_total"):
