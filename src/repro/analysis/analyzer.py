@@ -30,11 +30,6 @@ from repro.uml.model import Model
 from repro.util.lru import LRUMap
 from repro.xmlio.mcf import CheckingConfig
 
-_ANALYSIS_TOTAL = obs.counter(
-    "analysis_total",
-    "Static-analysis findings by rule and severity.",
-    ("rule", "severity"))
-
 #: Default-config reports per (model hash, sizes); the report is
 #: immutable once built, so sharing across callers is safe.
 _MEMO: LRUMap = LRUMap(capacity=128)
@@ -98,9 +93,15 @@ class ModelAnalyzer:
             report.diagnostics.extend(rule.check(ctx))
             report.rules_run.append(rule.rule_id)
         report.facts = ctx.facts
+        # Looked up per call, so a registry reset never strands an
+        # orphaned family (as in sim.core._run_metrics).
+        findings = obs.counter(
+            "analysis_total",
+            "Static-analysis findings by rule and severity.",
+            ("rule", "severity"))
         for diagnostic in report.diagnostics:
-            _ANALYSIS_TOTAL.labels(diagnostic.rule_id,
-                                   diagnostic.severity.value).inc()
+            findings.labels(diagnostic.rule_id,
+                            diagnostic.severity.value).inc()
         return report
 
 

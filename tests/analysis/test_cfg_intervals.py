@@ -78,3 +78,18 @@ class TestObservability:
         assert "prophet_analysis_total" in text
         assert 'rule="analysis-comm-matching"' in text
         assert 'severity="error"' in text
+
+    def test_analysis_counter_survives_a_registry_reset(self):
+        """`prophet profile`, `prophet bench` and the obs tests reset the
+        global registry; findings after a reset must still be counted
+        in the live registry, not in a family the reset dropped."""
+        from repro import obs
+        from repro.analysis import ModelAnalyzer
+        from tests.analysis.conftest import head_to_head_deadlock
+        ModelAnalyzer().analyze(head_to_head_deadlock())
+        obs.global_registry().reset()
+        ModelAnalyzer().analyze(head_to_head_deadlock())
+        exported = obs.export_json(obs.global_registry())
+        series = exported["prophet_analysis_total"]["series"]
+        assert {"labels": {"rule": "analysis-comm-matching",
+                           "severity": "error"}, "value": 1.0} in series
