@@ -29,6 +29,7 @@ claim about what the simulation *will* do:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import (
@@ -274,6 +275,7 @@ class _Msg:
     nbytes: float
     event: CommEvent
     rendezvous: bool
+    arrival: int  # deposit order across the whole schedule
     consumed: bool = False
 
 
@@ -323,7 +325,19 @@ class _Scheduler:
         self.joined = [False] * self.size      # arrived at current coll.
         self.deposited = [False] * self.size   # rendezvous msg deposited
         self.pending_rendezvous: list[_Msg | None] = [None] * self.size
-        self.mailboxes: list[list[_Msg]] = [[] for _ in range(self.size)]
+        # Each rank's unconsumed messages, one FIFO per (source, tag)
+        # group; a group leaves the dict when its last message does.
+        self.mailboxes: list[dict[tuple[int, int], deque[_Msg]]] = [
+            {} for _ in range(self.size)]
+        self._arrivals = 0
+        # (sender, destination) → tag → index of the sender's last send
+        # with that tag to that destination.
+        self._last_send: dict[tuple[int, int], dict[int, int]] = {}
+        for trace in traces:
+            for index, event in enumerate(trace.events):
+                if event.kind == "send":
+                    self._last_send.setdefault(
+                        (trace.pid, event.peer), {})[event.tag] = index
         self.result = MatchResult(self.size, exact=True)
         self._counters: dict[tuple, int] = {}
         self._states: dict[tuple, dict] = {}
@@ -347,6 +361,15 @@ class _Scheduler:
 
     def _in_range(self, rank: int) -> bool:
         return 0 <= rank < self.size
+
+    def _deposit(self, pid: int, event: CommEvent,
+                 rendezvous: bool) -> _Msg:
+        message = _Msg(pid, event.tag, event.nbytes, event, rendezvous,
+                       self._arrivals)
+        self._arrivals += 1
+        self.mailboxes[event.peer].setdefault(
+            (pid, event.tag), deque()).append(message)
+        return message
 
     # -- per-rank step ------------------------------------------------------
 
@@ -374,19 +397,15 @@ class _Scheduler:
                        f"negative message size {event.nbytes}")
             return True
         if event.nbytes <= self.threshold:
-            self.mailboxes[event.peer].append(
-                _Msg(pid, event.tag, event.nbytes, event,
-                     rendezvous=False))
+            self._deposit(pid, event, rendezvous=False)
             self.result.delivered += 1
             self._advance_cursor(pid)
             return True
         # Rendezvous: deposit the envelope once, then block until a
         # receive consumes it.
         if not self.deposited[pid]:
-            message = _Msg(pid, event.tag, event.nbytes, event,
-                           rendezvous=True)
-            self.mailboxes[event.peer].append(message)
-            self.pending_rendezvous[pid] = message
+            self.pending_rendezvous[pid] = self._deposit(
+                pid, event, rendezvous=True)
             self.deposited[pid] = True
             return True
         message = self.pending_rendezvous[pid]
@@ -403,44 +422,50 @@ class _Scheduler:
                        f"receive source rank {event.peer} out of "
                        f"range 0..{self.size - 1}")
             return True
-        queue = self.mailboxes[pid]
-        candidates = [message for message in queue
-                      if not message.consumed
-                      and (event.peer == ANY
-                           or message.source == event.peer)
-                      and (event.tag == ANY or message.tag == event.tag)]
-        if not candidates:
-            return False
-        if self._choice_matters(pid, event, candidates):
-            self.result.ambiguous = True
-        message = candidates[0]
+        groups = self.mailboxes[pid]
+        if event.peer != ANY and event.tag != ANY:
+            key = (event.peer, event.tag)
+            queue = groups.get(key)
+            if queue is None:
+                return False
+            # Order within one (source, tag) group only matters when a
+            # rendezvous release is at stake.  Its source blocks until
+            # the rendezvous message is consumed, and receives consume
+            # group heads, so that message can only be the tail.
+            if len(queue) > 1 and queue[-1].rendezvous:
+                self.result.ambiguous = True
+        else:
+            matching = [group for group in groups
+                        if (event.peer == ANY or group[0] == event.peer)
+                        and (event.tag == ANY or group[1] == event.tag)]
+            if not matching:
+                return False
+            key = min(matching, key=lambda group: groups[group][0].arrival)
+            if len(set(matching) | self._pending_send_groups(pid, event)) > 1:
+                self.result.ambiguous = True
+            queue = groups[key]
+        message = queue.popleft()
+        if not queue:
+            del groups[key]
         message.consumed = True
         self._advance_cursor(pid)
         return True
 
-    def _choice_matters(self, pid: int, event: CommEvent,
-                        candidates: list[_Msg]) -> bool:
-        """Could a different schedule hand this receive a different
-        message?  Checked against queued candidates *and* compatible
-        sends other ranks have not executed yet."""
-        wildcard = event.peer == ANY or event.tag == ANY
-        groups = {(message.source, message.tag)
-                  for message in candidates}
-        if wildcard:
-            for other in range(self.size):
-                if other == pid:
-                    continue
-                for future in self.traces[other].events[
-                        self.cursors[other]:]:
-                    if (future.kind == "send" and future.peer == pid
-                            and (event.tag == ANY
-                                 or future.tag == event.tag)):
-                        groups.add((other, future.tag))
-            return len(groups) > 1
-        # Deterministic (source, tag): order within the group only
-        # matters when a rendezvous release is at stake.
-        return (len(candidates) > 1
-                and any(m.rendezvous for m in candidates))
+    def _pending_send_groups(self, pid: int,
+                             event: CommEvent) -> set[tuple[int, int]]:
+        """The (source, tag) groups of compatible sends to ``pid`` that
+        other ranks have not executed yet: a different schedule could
+        hand a wildcard receive one of these instead.  Over-approximate
+        on purpose — a specific source is not filtered on."""
+        groups = set()
+        for other in range(self.size):
+            if other == pid:
+                continue
+            cursor = self.cursors[other]
+            for tag, last in self._last_send.get((other, pid), {}).items():
+                if last >= cursor and (event.tag == ANY or tag == event.tag):
+                    groups.add((other, tag))
+        return groups
 
     def _step_collective(self, pid: int, event: CommEvent) -> bool:
         kind = event.kind
@@ -516,12 +541,15 @@ class _Scheduler:
                 self.result.blocked.append(
                     BlockedSite(pid, event, self._why_blocked(pid,
                                                               event)))
-        # Messages never consumed: unmatched sends.
+        # Messages never consumed: unmatched sends, by destination rank,
+        # then arrival.
         if self.result.completed:
-            for queue in self.mailboxes:
-                for message in queue:
-                    if not message.consumed:
-                        self.result.unmatched_sends.append(message.event)
+            for groups in self.mailboxes:
+                left = sorted((message for queue in groups.values()
+                               for message in queue),
+                              key=lambda message: message.arrival)
+                self.result.unmatched_sends.extend(
+                    message.event for message in left)
             # Collectives some live ranks never reached.
             for state in self._states.values():
                 arrived = state["arrived"]
