@@ -13,14 +13,15 @@ from repro.workload.mpi import Communicator
 
 
 def make_world(processes=2, nodes=1, ppn=2, latency=1e-3, bandwidth=1e6,
-               eager_threshold=1000.0):
+               eager_threshold=1000.0, contention=False):
     sim = Simulation()
     params = SystemParameters(nodes=nodes, processors_per_node=ppn,
                               processes=processes)
     network = NetworkConfig(latency=latency, bandwidth=bandwidth,
                             eager_threshold=eager_threshold,
                             intra_node_latency_factor=1.0,
-                            intra_node_bandwidth_factor=1.0)
+                            intra_node_bandwidth_factor=1.0,
+                            contention=contention)
     cluster = Cluster(sim, params, network)
     comm = Communicator(sim, cluster)
     runtime = RuntimeState(sim=sim, cluster=cluster, comm=comm,
@@ -171,8 +172,7 @@ class TestMessagesInFlight:
     @pytest.mark.parametrize("contention", (False, True))
     @pytest.mark.parametrize("nbytes", (500, 5000))  # eager, rendezvous
     def test_sends_spawn_no_process(self, nbytes, contention):
-        sim, comm, ctx = (_contended_world() if contention
-                          else make_world(nodes=2, ppn=1))
+        sim, comm, ctx = make_world(nodes=2, ppn=1, contention=contention)
 
         def sender():
             yield from comm.send(ctx[0], dest=1, nbytes=nbytes, tag=0)
@@ -185,6 +185,8 @@ class TestMessagesInFlight:
         sim.run()
         assert [p.name for p in sim.all_processes] == ["s", "r"]
         assert comm.p2p_messages == 1
+        if contention:  # the payload crossed the shared link once
+            assert comm.cluster.network.link.completions == 1
         # Two steps for the message, as the process it replaced took.
         assert sim.events_processed == (6 if nbytes == 500 else 7)
 
@@ -240,21 +242,6 @@ class TestMessagesInFlight:
         assert all(strand.match(name) for name in names[4:]), names
         if result is not None and scenario != "fork_join":
             assert result.trace_counts["send"] > 0
-
-
-def _contended_world():
-    """Two ranks on two nodes sharing one contended link."""
-    sim = Simulation()
-    params = SystemParameters(nodes=2, processors_per_node=1, processes=2)
-    cluster = Cluster(sim, params, NetworkConfig(
-        latency=1e-3, bandwidth=1e6, eager_threshold=1000.0,
-        contention=True, links=1))
-    comm = Communicator(sim, cluster)
-    runtime = RuntimeState(sim=sim, cluster=cluster, comm=comm,
-                           trace=TraceRecorder())
-    contexts = [ExecContext(runtime, ProcessState(pid, VarStore()), tid=0)
-                for pid in range(2)]
-    return sim, comm, contexts
 
 
 class TestCollectives:
