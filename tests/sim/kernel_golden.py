@@ -120,16 +120,14 @@ def _trace_digest(records) -> str:
     return digest.hexdigest()
 
 
-def run_points(selected=None) -> dict:
-    """key → outcome for every point (or the ``selected`` keys)."""
+def run_points() -> dict:
+    """key → outcome for every point."""
     from repro.estimator.manager import PerformanceEstimator
 
     builders = _models()
     prepared = {}
     outcomes = {}
     for key, name, processes, threshold, contended in points():
-        if selected is not None and key not in selected:
-            continue
         if name not in prepared:
             prepared[name] = PerformanceEstimator().prepare(
                 builders[name](), mode="codegen")
