@@ -33,6 +33,7 @@ from repro.samples import (
 from repro.scenarios import all_scenarios
 from repro.uml.builder import ModelBuilder
 from repro.uml.random_models import RandomModelConfig, random_model
+from tests.transform.emitter_golden import every_kind_model
 
 #: Documented analytic-vs-simulated tolerance for deterministic models:
 #: the closed form accumulates costs in a different order than the
@@ -44,6 +45,11 @@ SAMPLE_BUILDERS = {
     "kernel6": build_kernel6_model,
     "kernel6-loopnest": build_kernel6_loopnest_model,
 }
+
+#: The interp ≡ codegen inputs: the samples plus a model with every
+#: action kind and region shape (no analytic band: its critical
+#: sections contend, which the closed form does not model).
+SIMULATED_BUILDERS = {**SAMPLE_BUILDERS, "every-kind": every_kind_model}
 
 SEEDS = (0, 1, 7)
 MACHINES = (
@@ -68,11 +74,12 @@ class TestSimulatedBackendsIdentical:
     #: one seed covers it (it is deterministic; the cheap models prove
     #: seed-independence of the agreement).
     CASES = [(kind, seed) for kind in ("sample", "kernel6")
-             for seed in SEEDS] + [("kernel6-loopnest", 0)]
+             for seed in SEEDS] + [("kernel6-loopnest", 0),
+                                   ("every-kind", 0)]
 
     @pytest.mark.parametrize("kind,seed", CASES)
     def test_sample_models_all_machines(self, kind, seed):
-        model = SAMPLE_BUILDERS[kind]()
+        model = SIMULATED_BUILDERS[kind]()
         machines = (MACHINES if kind != "kernel6-loopnest"
                     else MACHINES[:2])
         for params in machines:
