@@ -20,7 +20,7 @@ def test_fig4_single_element_transform(benchmark):
 def test_fig4_ir_construction(benchmark):
     model = build_kernel6_model()
     ir = benchmark(build_ir, model)
-    assert len(ir.declarations) == 1
+    assert len(ir.actions) == 1
 
 
 def test_fig4_emission_only(benchmark):

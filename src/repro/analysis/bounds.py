@@ -32,6 +32,7 @@ from repro.analysis.intervals import (
     is_concrete,
     to_interval,
 )
+from repro.lang.evaluator import declare_intrinsics
 from repro.lang.types import Type
 from repro.machine.network import (NetworkConfig, effective_parameters,
                                    tree_depth)
@@ -110,13 +111,9 @@ class _BoundsWalker:
                 value = (self.evaluator.eval(init, env)
                          if init is not None else None)
                 env.declare(name, type_, value)
-            env.declare("uid", Type.INT, pid)
-            env.declare("pid", Type.INT, pid)
-            env.declare("tid", Type.INT, 0)
-            env.declare("size", Type.INT, self.params.processes)
-            env.declare("nnodes", Type.INT, self.params.nodes)
-            env.declare("nthreads", Type.INT,
-                        self.params.threads_per_process)
+            declare_intrinsics(env, pid, pid, 0, self.params.processes,
+                               self.params.nodes,
+                               self.params.threads_per_process)
             acc = self._diagram(self.mcfg.main, env.child())
         except (_GiveUp, AbstractEvalError):
             return Interval(0.0, _INF)

@@ -9,20 +9,24 @@ a list of :class:`ProgramPoint` nodes joined by guarded
 :class:`CFGEdge` s — and bundles the per-diagram graphs plus the parsed
 model context (variables, functions) into a :class:`ModelCFG`.
 
-Annotations are parsed through the parser's shared memo, and lowering
-mirrors the backends' semantics precisely: stereotype-less actions
-vanish (no runtime object is ever declared for them), structured nodes
-(``activity+``/``loop+``/``parallel+``) become call points into the
-behavior diagram's own CFG, and branch/cycle points carry their guard
-expressions in model order.
+Lowering mirrors the backends' semantics precisely because it reads
+what they read: an action point takes its kind, code, cost, size, peer,
+root and tag from the action's
+:class:`~repro.transform.algorithm.ActionSpec` in the shared IR
+(``action``/``critical`` become ``work`` points), stereotype-less
+actions vanish (they have no spec and no runtime object), structured
+nodes (``activity+``/``loop+``/``parallel+``) become call points into
+the behavior diagram's own CFG, and branch/cycle points carry their
+guard expressions, parsed through the parser's shared memo, in model
+order.
 """
 
 from __future__ import annotations
 
 from repro.lang.ast import Assign, Expr, Program, walk_stmts
-from repro.lang.parser import parse_expression, parse_program
+from repro.lang.parser import parse_expression
 from repro.lang.types import Type
-from repro.transform.algorithm import ModelIR, as_ir, cost_argument
+from repro.transform.algorithm import ACTION_TABLE, ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -39,31 +43,11 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
 
-#: Stereotype → program-point kind for communication leaves.
-_COMM_POINT_KINDS = {
-    SEND_PLUS: "send",
-    RECV_PLUS: "recv",
-    BARRIER_PLUS: "barrier",
-    BCAST_PLUS: "bcast",
-    REDUCE_PLUS: "reduce",
-    ALLREDUCE_PLUS: "allreduce",
-    SCATTER_PLUS: "scatter",
-    GATHER_PLUS: "gather",
-}
-
-COMM_KINDS = frozenset(_COMM_POINT_KINDS.values())
+#: Program-point kinds of communication leaves: every action kind but
+#: the two that only compute (``action``/``critical`` lower to ``work``).
+COMM_KINDS = frozenset(kind for kind, _, _ in ACTION_TABLE.values()
+                       if kind not in ("action", "critical"))
 
 #: Collectives where the root blocks until every rank has arrived.
 ROOT_WAITS_ALL = frozenset({"reduce", "gather"})
@@ -322,44 +306,26 @@ class _Lowerer:
             point.behavior = node.behavior
             point.num_threads = parse_expression(node.num_threads)
         elif isinstance(node, ActionNode):
-            stereotype = performance_stereotype(node)
-            if stereotype is None:
+            spec = self.model_cfg.ir.actions.get(node.id)
+            if spec is None:
                 # No runtime class → the node never executes in any
                 # backend; it does not exist in the CFG either.
                 head = self.cfg.new_point("noop")
                 self._link(pred, head, guard, role)
                 return head
-            kind = _COMM_POINT_KINDS.get(stereotype)
-            point = self.cfg.new_point(kind or "work", node)
-            if node.code is not None:
-                point.code = parse_program(node.code)
-                self.model_cfg.programs.append(point.code)
-            if kind is None:
-                cost = cost_argument(node)
-                if cost is not None:
-                    point.cost = parse_expression(cost)
-            else:
-                if kind != "barrier":
-                    point.size = self._tag_expr(node, stereotype, "size")
-                if kind in ("send", "recv"):
-                    peer_tag = "dest" if kind == "send" else "source"
-                    point.peer = self._tag_expr(node, stereotype,
-                                                peer_tag)
-                    point.tag = int(node.tag_value(stereotype, "tag", 0))
-                elif kind in ("bcast", "scatter", "gather", "reduce"):
-                    point.root = self._tag_expr(node, stereotype, "root")
+            point = self.cfg.new_point(
+                spec.kind if spec.kind in COMM_KINDS else "work", node)
+            if spec.program is not None:
+                self.model_cfg.programs.append(spec.program)
+            point.code, point.cost, point.size = (spec.program, spec.cost,
+                                                  spec.size)
+            point.peer, point.root, point.tag = spec.peer, spec.root, spec.tag
         else:
             head = self.cfg.new_point("noop")
             self._link(pred, head, guard, role)
             return head
         self._link(pred, point, guard, role)
         return point
-
-    def _tag_expr(self, node: ActionNode, stereotype: str, tag: str,
-                  default: str = "0") -> Expr:
-        raw = node.tag_value(stereotype, tag)
-        source = raw if isinstance(raw, str) else default
-        return parse_expression(source)
 
     # -- structured control flow ---------------------------------------------
 

@@ -47,7 +47,7 @@ from repro.analysis.intervals import (
     Interval,
     is_concrete,
 )
-from repro.lang.types import Type
+from repro.lang.evaluator import declare_intrinsics
 
 ANY = -1  # wildcard source/tag (repro.workload.mpi.ANY)
 
@@ -112,15 +112,11 @@ class _TraceBuilder:
                 value = (self.evaluator.eval(init, env)
                          if init is not None else None)
                 env.declare(name, type_, value)
-            env.declare("uid", Type.INT, self.pid)
-            env.declare("pid", Type.INT, self.pid)
-            env.declare("tid", Type.INT, 0)
-            env.declare("size", Type.INT, self.processes)
             # The machine shape beyond the process count is not fixed
             # at analysis time; guards that read it are not decidable.
-            env.declare("nnodes", Type.INT, Interval(1.0, float("inf")))
-            env.declare("nthreads", Type.INT,
-                        Interval(1.0, float("inf")))
+            unknown = Interval(1.0, float("inf"))
+            declare_intrinsics(env, self.pid, self.pid, 0, self.processes,
+                               unknown, unknown)
             self._exec_diagram(self.mcfg.main, env.child())
         except _Inexact as flag:
             return RankTrace(self.pid, self.events, exact=False,

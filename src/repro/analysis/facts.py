@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from repro.lang.ast import (Call, Expr, Name, stmt_expressions, walk_expr,
                             walk_stmts)
-from repro.lang.parser import parse_expression, parse_program
-from repro.transform.algorithm import cost_argument
+from repro.lang.parser import parse_expression
+from repro.transform.algorithm import ActionSpec, ModelIR, as_ir
 from repro.uml.activities import (
     ActionNode,
     DecisionNode,
@@ -33,32 +33,9 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
 
 #: Intrinsics that identify the executing rank.
 RANK_NAMES = frozenset({"pid", "uid"})
-
-_PEER_TAGS = {
-    SEND_PLUS: "dest",
-    RECV_PLUS: "source",
-    BCAST_PLUS: "root",
-    SCATTER_PLUS: "root",
-    GATHER_PLUS: "root",
-    REDUCE_PLUS: "root",
-}
-
-_COMM_STEREOTYPES = frozenset(_PEER_TAGS) | {BARRIER_PLUS,
-                                             ALLREDUCE_PLUS}
 
 
 @dataclass(frozen=True)
@@ -94,7 +71,9 @@ class _Scan:
         self.names: set[str] = set()
         self.peer_names: set[str] = set()
 
-    def note(self, expr: Expr, into: set[str] | None = None) -> None:
+    def note(self, expr: Expr | None, into: set[str] | None = None) -> None:
+        if expr is None:
+            return
         bucket = self.names if into is None else into
         for sub in walk_expr(expr):
             if isinstance(sub, Name):
@@ -108,8 +87,11 @@ class _Scan:
                 self.note(expr)
 
 
-def rank_dependence(model: Model) -> RankDependenceFact:
-    """Scan ``model`` for the names its evaluation can read."""
+def rank_dependence(model: Model | ModelIR) -> RankDependenceFact:
+    """Scan ``model`` (or an already-built IR, whose resolved actions it
+    reads) for the names its evaluation can read."""
+    ir = as_ir(model)
+    model = ir.model
     scan = _Scan()
     for variable in (list(model.global_variables())
                      + list(model.local_variables())):
@@ -128,32 +110,22 @@ def rank_dependence(model: Model) -> RankDependenceFact:
             elif isinstance(node, ParallelRegionNode):
                 scan.note(parse_expression(node.num_threads))
             elif isinstance(node, ActionNode):
-                _scan_action(scan, node)
+                spec = ir.actions.get(node.id)
+                # A stereotype-less action has no spec and no runtime
+                # object; its annotations never evaluate in any backend.
+                if spec is not None:
+                    _scan_action(scan, spec)
     return RankDependenceFact(frozenset(scan.names),
                               frozenset(scan.peer_names))
 
 
-def _scan_action(scan: _Scan, node: ActionNode) -> None:
-    stereotype = performance_stereotype(node)
-    if stereotype is None:
-        # No runtime object is declared for the node; its annotations
-        # never evaluate in any backend.
-        return
-    if node.code is not None:
-        scan.note_stmts(parse_program(node.code).body)
-    if stereotype in _COMM_STEREOTYPES:
-        if stereotype != BARRIER_PLUS:
-            raw = node.tag_value(stereotype, "size")
-            scan.note(parse_expression(raw if isinstance(raw, str) else "0"))
-        peer_tag = _PEER_TAGS.get(stereotype)
-        if peer_tag is not None:
-            raw = node.tag_value(stereotype, peer_tag)
-            scan.note(parse_expression(raw if isinstance(raw, str) else "0"),
-                      into=scan.peer_names)
-    else:
-        cost = cost_argument(node)
-        if cost is not None:
-            scan.note(parse_expression(cost))
+def _scan_action(scan: _Scan, spec: ActionSpec) -> None:
+    if spec.program is not None:
+        scan.note_stmts(spec.program.body)
+    scan.note(spec.cost)
+    scan.note(spec.size)
+    scan.note(spec.peer, into=scan.peer_names)
+    scan.note(spec.root, into=scan.peer_names)
 
 
 __all__ = ["RANK_NAMES", "RankDependenceFact", "rank_dependence"]

@@ -38,7 +38,7 @@ from repro.analysis.intervals import (AbstractEnv, AbstractEvalError,
                                       AbstractEvaluator, Interval)
 from repro.checker.diagnostics import Diagnostic, Severity
 from repro.checker.rules import Rule
-from repro.lang.types import Type
+from repro.lang.evaluator import declare_intrinsics
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
 from repro.uml.model import Model
@@ -243,13 +243,9 @@ class GuardSatisfiabilityRule(AnalysisRule):
                          if init is not None else None)
                 env.declare(name, type_, value)
             unbounded = Interval(0.0, float("inf"))
-            env.declare("uid", Type.INT, unbounded)
-            env.declare("pid", Type.INT, unbounded)
-            env.declare("tid", Type.INT, unbounded)
             positive = Interval(1.0, float("inf"))
-            env.declare("size", Type.INT, positive)
-            env.declare("nnodes", Type.INT, positive)
-            env.declare("nthreads", Type.INT, positive)
+            declare_intrinsics(env, unbounded, unbounded, unbounded,
+                               positive, positive, positive)
         except AbstractEvalError:
             return None
         # Anything a code fragment or function can assign is unknown at
@@ -314,7 +310,7 @@ class RankDependenceRule(AnalysisRule):
                    "depends on the executing rank")
 
     def check(self, ctx: AnalysisContext) -> Iterator[Diagnostic]:
-        fact = rank_dependence(ctx.model)
+        fact = rank_dependence(ctx.mcfg.ir)
         ctx.facts["rank_dependence"] = fact.to_payload()
         if fact.cost_rank_dependent:
             names = ",".join(sorted(fact.cost_names

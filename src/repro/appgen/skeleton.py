@@ -20,6 +20,7 @@ import types
 from dataclasses import dataclass
 
 from repro.errors import TransformError, UnsupportedElementError
+from repro.lang.evaluator import INTRINSICS
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.pygen import _render_with_filter, emit_stmt
 from repro.transform.algorithm import ModelIR, as_ir
@@ -39,19 +40,20 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
 from repro.util.ids import mangle_identifier
 from repro.util.textwriter import CodeWriter
+
+#: Action kind → its ``comm`` call; any other kind calls its hook.
+_COMM_CALLS = {
+    "send": "comm.send(None, dest=int({peer}), tag={tag})",
+    "recv": "comm.recv(source=int({peer}), tag={tag})",
+    "barrier": "comm.barrier()",
+    "bcast": "comm.bcast(None, root=int({root}))",
+    "scatter": "comm.scatter([None] * size, root=int({root}))",
+    "gather": "comm.gather(None, root=int({root}))",
+    "reduce": "comm.reduce(0, root=int({root}))",
+    "allreduce": "comm.allreduce(0)",
+}
 
 
 @dataclass
@@ -79,13 +81,14 @@ class _SkeletonEmitter:
         self._inline_stack: list[str] = []
         # In the skeleton everything lives in run()'s scope: globals,
         # locals, and the rank intrinsics are all bare names.
-        self._bare: set[str] = {"rank", "size", "pid", "uid", "tid",
-                                "nnodes", "nthreads"}
+        self._bare: set[str] = {"rank", *INTRINSICS}
         self._bare.update(v.name for v in ir.model.variables)
 
     def _expr(self, source: str) -> str:
-        return _render_with_filter(parse_expression(source), 0, "",
-                                   self._bare)
+        return self._render(parse_expression(source))
+
+    def _render(self, expr) -> str:
+        return _render_with_filter(expr, 0, "", self._bare)
 
     def emit(self) -> SkeletonArtifacts:
         model = self.ir.model
@@ -115,20 +118,13 @@ class _SkeletonEmitter:
     def _emit_hooks(self) -> None:
         """One TODO hook per <<action+>> element."""
         w = self.w
-        emitted = set()
-        for declaration in self.ir.declarations:
-            if declaration.class_name not in ("ActionPlus",
-                                              "CriticalSection"):
+        for spec in self.ir.actions.values():
+            if spec.kind not in ("action", "critical"):
                 continue
-            hook = f"compute_{declaration.instance}"
-            if hook in emitted:
-                continue
-            emitted.add(hook)
-            node = declaration.node
-            cost = getattr(node, "cost", None)
-            with w.block(f"def {hook}(state):", None):
+            cost = spec.node.cost
+            with w.block(f"def compute_{spec.instance}(state):", None):
                 w.writeln(f'"""TODO: implement the code block modeled by '
-                          f'element {declaration.display_name!r}')
+                          f'element {spec.node.name!r}')
                 if cost:
                     w.writeln(f"(modeled execution time: {cost})")
                 w.writeln('"""')
@@ -241,45 +237,19 @@ class _SkeletonEmitter:
 
     def _emit_action(self, node: ActionNode) -> None:
         w = self.w
-        stereotype = performance_stereotype(node)
+        spec = self.ir.actions.get(node.id)
         if node.code is not None:
             w.writeln(f"# code associated with {node.name}")
             locals_ = set(self._bare)
-            for stmt in parse_program(node.code):
+            program = (spec.program if spec is not None
+                       else parse_program(node.code))
+            for stmt in program:
                 emit_stmt(w, stmt, name_prefix="", declared_locals=locals_)
-        if stereotype is None:
+        if spec is None:
             return
-
-        def tag(name: str, default: str = "0") -> str:
-            raw = node.tag_value(stereotype, name)
-            return self._expr(raw if isinstance(raw, str) else default)
-
-        if stereotype == SEND_PLUS:
-            w.writeln(f"comm.send(None, dest=int({tag('dest')}), "
-                      f"tag={node.tag_value(stereotype, 'tag', 0)})"
-                      f"  # {node.name}")
-        elif stereotype == RECV_PLUS:
-            w.writeln(f"comm.recv(source=int({tag('source')}), "
-                      f"tag={node.tag_value(stereotype, 'tag', 0)})"
-                      f"  # {node.name}")
-        elif stereotype == BARRIER_PLUS:
-            w.writeln(f"comm.barrier()  # {node.name}")
-        elif stereotype == BCAST_PLUS:
-            w.writeln(f"comm.bcast(None, root=int({tag('root')}))"
-                      f"  # {node.name}")
-        elif stereotype == SCATTER_PLUS:
-            w.writeln(f"comm.scatter([None] * size, "
-                      f"root=int({tag('root')}))  # {node.name}")
-        elif stereotype == GATHER_PLUS:
-            w.writeln(f"comm.gather(None, root=int({tag('root')}))"
-                      f"  # {node.name}")
-        elif stereotype == REDUCE_PLUS:
-            w.writeln(f"comm.reduce(0, root=int({tag('root')}))"
-                      f"  # {node.name}")
-        elif stereotype == ALLREDUCE_PLUS:
-            w.writeln(f"comm.allreduce(0)  # {node.name}")
-        else:
-            instance = self.ir.instance_names.get(node.id)
-            if instance is None:
-                return
-            w.writeln(f"compute_{instance}(locals())  # {node.name}")
+        call = _COMM_CALLS.get(spec.kind,
+                               f"compute_{spec.instance}(locals())")
+        peer = self._render(spec.peer) if spec.peer is not None else None
+        root = self._render(spec.root) if spec.root is not None else None
+        w.writeln(call.format(peer=peer, root=root, tag=spec.tag)
+                  + f"  # {node.name}")

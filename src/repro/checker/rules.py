@@ -11,20 +11,12 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.checker.diagnostics import Diagnostic, Severity
+from repro.lang.evaluator import INTRINSICS
 from repro.lang.types import Type
 from repro.uml.model import Model
 
-#: Names implicitly available to guards/costs/fragments at evaluation time:
-#: the execute() parameters of the paper (uid, pid, tid) plus the process
-#: count, node count, and thread count the machine model provides.
-INTRINSIC_VARIABLES: dict[str, Type] = {
-    "uid": Type.INT,
-    "pid": Type.INT,
-    "tid": Type.INT,
-    "size": Type.INT,       # number of processes (MPI communicator size)
-    "nnodes": Type.INT,
-    "nthreads": Type.INT,
-}
+#: Names implicitly available to guards/costs/fragments at evaluation time.
+INTRINSIC_VARIABLES: dict[str, Type] = {name: Type.INT for name in INTRINSICS}
 
 
 @dataclass

@@ -12,9 +12,10 @@ structure (the sweep engine memoizes it by structural hash):
 
 * every guard, iteration count, tag, cost expression, and code fragment
   is parsed at compile time (through the parser's shared memo);
-* every action's performance stereotype is resolved to a small plan node
-  (work, send/recv, collective) at compile time — stereotype-less
-  actions vanish from the plan entirely;
+* every action's :class:`~repro.transform.algorithm.ActionSpec` (its
+  kind and parsed expressions, resolved once in the IR) becomes a small
+  plan node (work, send/recv, collective) at compile time —
+  stereotype-less actions have no spec and vanish from the plan;
 * the ``<<loop+>>`` state-free fast-path decision is precomputed per
   behavior;
 * a whole-plan name scan decides *rank invariance*: a model that never
@@ -61,13 +62,13 @@ from repro.lang.ast import (
     VarDecl,
     walk_stmts,
 )
-from repro.lang.evaluator import Environment, Evaluator
+from repro.lang.evaluator import Environment, Evaluator, declare_intrinsics
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.types import Type
 from repro.machine.network import (NetworkConfig, effective_parameters,
                                    tree_depth)
 from repro.machine.params import SystemParameters
-from repro.transform.algorithm import ModelIR, as_ir, cost_argument
+from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -83,17 +84,6 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
 
 try:
     import numpy as _np
@@ -410,18 +400,18 @@ class _PWork:
         return (value, value)
 
 
-# Communication plan kinds (stereotype pre-resolved at compile time).
+# Communication plan kinds (action kind pre-resolved at compile time).
 _K_SEND, _K_RECV, _K_BARRIER, _K_TREE, _K_ALLREDUCE, _K_LINEAR = range(6)
 
 _COMM_KINDS = {
-    SEND_PLUS: _K_SEND,
-    RECV_PLUS: _K_RECV,
-    BARRIER_PLUS: _K_BARRIER,
-    BCAST_PLUS: _K_TREE,
-    REDUCE_PLUS: _K_TREE,
-    ALLREDUCE_PLUS: _K_ALLREDUCE,
-    SCATTER_PLUS: _K_LINEAR,
-    GATHER_PLUS: _K_LINEAR,
+    "send": _K_SEND,
+    "recv": _K_RECV,
+    "barrier": _K_BARRIER,
+    "bcast": _K_TREE,
+    "reduce": _K_TREE,
+    "allreduce": _K_ALLREDUCE,
+    "scatter": _K_LINEAR,
+    "gather": _K_LINEAR,
 }
 
 
@@ -493,7 +483,7 @@ class AnalyticPlan:
         #: static analyzer (:mod:`repro.analysis.facts`) so the two can
         #: never disagree about what "rank-invariant" means.
         self.rank_invariant = \
-            not rank_dependence(model).cost_rank_dependent
+            not rank_dependence(self.ir).cost_rank_dependent
 
     # -- compile-time scans ---------------------------------------------------
 
@@ -577,28 +567,15 @@ class AnalyticPlan:
             self._links.append(ref)
             return ref
         if isinstance(node, ActionNode):
-            stereotype = performance_stereotype(node)
-            if stereotype is None:
+            spec = self.ir.actions.get(node.id)
+            if spec is None:
                 return None
-            program = (parse_program(node.code)
-                       if node.code is not None else None)
-            kind = _COMM_KINDS.get(stereotype)
+            kind = _COMM_KINDS.get(spec.kind)
             if kind is not None:
-                size = (None if kind == _K_BARRIER
-                        else self._tag_expr(node, stereotype, "size"))
-                return _PComm(program, kind, size)
-            cost = cost_argument(node)
-            return _PWork(program,
-                          parse_expression(cost) if cost is not None else None,
-                          node.name)
+                return _PComm(spec.program, kind, spec.size)
+            return _PWork(spec.program, spec.cost, node.name)
         raise EstimatorError(
             f"analytic evaluator cannot time {type(node).__name__}")
-
-    def _tag_expr(self, node: ActionNode, stereotype: str,
-                  name: str, default: str = "0") -> Expr:
-        raw = node.tag_value(stereotype, name)
-        source = raw if isinstance(raw, str) else default
-        return parse_expression(source)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -626,12 +603,8 @@ class AnalyticPlan:
             env.declare(name, type_, value)
         # Intrinsics at process scope so cost-function bodies see them
         # (same visibility as the interp/codegen backends).
-        env.declare("uid", Type.INT, pid)
-        env.declare("pid", Type.INT, pid)
-        env.declare("tid", Type.INT, 0)
-        env.declare("size", Type.INT, rt.processes)
-        env.declare("nnodes", Type.INT, rt.nodes)
-        env.declare("nthreads", Type.INT, rt.threads_per_process)
+        declare_intrinsics(env, pid, pid, 0, rt.processes, rt.nodes,
+                           rt.threads_per_process)
         time, _work = self.main.cost(rt, evaluator, env.child())
         return time
 

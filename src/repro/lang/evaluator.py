@@ -68,6 +68,20 @@ def c_mod(left, right):
     return math.fmod(left, right)
 
 
+#: The process intrinsics every annotation may read: the execute()
+#: parameters of the paper (uid, pid, tid) plus the process count
+#: (``size``, the MPI communicator size), node count and thread count
+#: the machine model provides.  All are ints.
+INTRINSICS = ("uid", "pid", "tid", "size", "nnodes", "nthreads")
+
+
+def declare_intrinsics(env, *values) -> None:
+    """Declare :data:`INTRINSICS` into ``env`` (anything with
+    ``.declare(name, type, value)``), ``values`` in that order."""
+    for name, value in zip(INTRINSICS, values, strict=True):
+        env.declare(name, Type.INT, value)
+
+
 class Environment:
     """A chain of variable scopes.
 

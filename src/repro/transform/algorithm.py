@@ -9,6 +9,18 @@
 * lines 29-35 — the execution flow, reconstructed per diagram as a region
   tree (:mod:`.flowgraph`).
 
+Fig. 5 maps each performance element to one runtime call, and so does
+this module, once: :data:`ACTION_TABLE` says, per action stereotype,
+which trace-record kind and runtime class it becomes and which tags its
+``execute()`` arguments come from, and :func:`build_ir` resolves every
+stereotyped action into one immutable :class:`ActionSpec` — instance
+name, parsed code fragment, parsed or literal arguments — in
+:attr:`ModelIR.actions`.  Every consumer reads that record instead of the
+stereotype and its tags: the C++ and Python emitters and the skeleton
+render its argument list, the interpreter folds it into its per-event
+plan, and the analytic plan, the analyzer's CFG and the rank-dependence
+scan read its expressions.
+
 Both backends (C++ text, executable Python) render the same IR, which is
 what makes the two representations semantically aligned.  So do the
 interpreter, the analytic plan and the analyzer's CFG: each accepts a
@@ -22,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import TransformError
+from repro.lang.ast import Expr, Program
+from repro.lang.parser import parse_expression, parse_program
 from repro.transform.collect import collect_performance_elements
 from repro.transform.flowgraph import FlowParser, SequenceRegion
 from repro.uml.activities import (
@@ -47,50 +61,65 @@ from repro.uml.perf_profile import (
 )
 from repro.util.ids import mangle_identifier, unique_name
 
-#: Stereotype name → runtime class name (C++ and Python share these).
-RUNTIME_CLASSES: dict[str, str] = {
-    ACTION_PLUS: "ActionPlus",
-    CRITICAL_PLUS: "CriticalSection",
-    SEND_PLUS: "MpiSend",
-    RECV_PLUS: "MpiRecv",
-    BARRIER_PLUS: "MpiBarrier",
-    BCAST_PLUS: "MpiBcast",
-    SCATTER_PLUS: "MpiScatter",
-    GATHER_PLUS: "MpiGather",
-    REDUCE_PLUS: "MpiReduce",
-    ALLREDUCE_PLUS: "MpiAllreduce",
+#: Action stereotype → (trace-record kind, runtime class shared by C++
+#: and Python, the tags its ``execute()`` arguments come from in call
+#: order after ``(uid, pid, tid)``).  ``cost`` comes from
+#: :func:`cost_argument`; ``dest``/``source`` fill the ``peer`` field.
+ACTION_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    ACTION_PLUS: ("action", "ActionPlus", ("cost",)),
+    CRITICAL_PLUS: ("critical", "CriticalSection", ("cost", "lock")),
+    SEND_PLUS: ("send", "MpiSend", ("dest", "size", "tag")),
+    RECV_PLUS: ("recv", "MpiRecv", ("source", "size", "tag")),
+    BARRIER_PLUS: ("barrier", "MpiBarrier", ()),
+    BCAST_PLUS: ("bcast", "MpiBcast", ("root", "size")),
+    SCATTER_PLUS: ("scatter", "MpiScatter", ("root", "size")),
+    GATHER_PLUS: ("gather", "MpiGather", ("root", "size")),
+    REDUCE_PLUS: ("reduce", "MpiReduce", ("root", "size", "op")),
+    ALLREDUCE_PLUS: ("allreduce", "MpiAllreduce", ("size", "op")),
 }
 
+#: Literal (non-expression) argument tags and their defaults.
+_LITERAL_DEFAULTS = {"tag": 0, "op": "sum", "lock": "default"}
 
-@dataclass
-class Declaration:
-    """One generated element declaration (Fig. 5 lines 24-28)."""
 
-    node: ActivityNode
+@dataclass(frozen=True)
+class ActionSpec:
+    """One performance action, resolved once (Fig. 5 lines 24-28 plus its
+    ``execute()`` call).
+
+    ``cost``, ``peer``, ``size`` and ``root`` are parsed expressions, or
+    None where the kind has no such argument (or, for ``cost``, where the
+    action has none: it costs ``0.0``); ``args`` holds the call's
+    arguments after ``(uid, pid, tid)`` in order.
+    """
+
+    node: ActionNode
+    kind: str
     class_name: str
     instance: str        # the mangled instance identifier (Kernel6→kernel6)
-    display_name: str    # the UML element name, kept as a constructor arg
+    program: Program | None
+    cost: Expr | None = None
+    peer: Expr | None = None     # send dest / recv source
+    size: Expr | None = None
+    root: Expr | None = None
+    tag: int = 0
+    op: str | None = None
+    lock: str | None = None
+    args: tuple = ()
 
 
 @dataclass
 class ModelIR:
     model: Model
     perf_elements: list[ActivityNode]
-    declarations: list[Declaration] = field(default_factory=list)
+    #: node id → its resolved action, in declaration order; an action
+    #: without a stereotype has no entry.
+    actions: dict[int, ActionSpec] = field(default_factory=dict)
     regions: dict[str, SequenceRegion] = field(default_factory=dict)
-    instance_names: dict[int, str] = field(default_factory=dict)
 
     @property
     def main_region(self) -> SequenceRegion:
         return self.regions[self.model.main_diagram_name]
-
-    def instance_for(self, node: ActivityNode) -> str:
-        try:
-            return self.instance_names[node.id]
-        except KeyError:
-            raise TransformError(
-                f"element {node.name!r} (id {node.id}) has no declaration; "
-                "is it a performance modeling element?") from None
 
 
 def build_ir(model: Model) -> ModelIR:
@@ -107,15 +136,12 @@ def build_ir(model: Model) -> ModelIR:
     taken: set[str] = set()
     for node in perf_elements:
         stereotype = performance_stereotype(node)
-        class_name = RUNTIME_CLASSES.get(stereotype or "")
-        if class_name is None:
+        if stereotype not in ACTION_TABLE:
             continue
-        base = mangle_identifier(node.name, lower_first=True)
-        instance = unique_name(base, taken)
+        instance = unique_name(
+            mangle_identifier(node.name, lower_first=True), taken)
         taken.add(instance)
-        ir.declarations.append(
-            Declaration(node, class_name, instance, node.name))
-        ir.instance_names[node.id] = instance
+        ir.actions[node.id] = _resolve(node, stereotype, instance)
 
     # Flow (lines 29-35): structured region tree per diagram.  Every
     # diagram is parsed; backends inline sub-diagram regions at their
@@ -125,6 +151,26 @@ def build_ir(model: Model) -> ModelIR:
 
     _check_invocations_resolve(ir)
     return ir
+
+
+def _resolve(node: ActionNode, stereotype: str, instance: str) -> ActionSpec:
+    kind, class_name, arg_tags = ACTION_TABLE[stereotype]
+    fields: dict = {}
+    for tag in arg_tags:
+        if tag == "cost":
+            source = cost_argument(node)
+            fields["cost"] = (parse_expression(source)
+                              if source is not None else None)
+        elif tag in _LITERAL_DEFAULTS:
+            value = node.tag_value(stereotype, tag, _LITERAL_DEFAULTS[tag])
+            fields[tag] = int(value) if tag == "tag" else value
+        else:
+            raw = node.tag_value(stereotype, tag)
+            fields["peer" if tag in ("dest", "source") else tag] = \
+                parse_expression(raw if isinstance(raw, str) else "0")
+    program = parse_program(node.code) if node.code is not None else None
+    return ActionSpec(node, kind, class_name, instance, program,
+                      args=tuple(fields.values()), **fields)
 
 
 def as_ir(model_or_ir: Model | ModelIR) -> ModelIR:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.cppgen import cpp_type, emit_stmt, expr_to_cpp, function_to_cpp
-from repro.lang.parser import parse_expression, parse_program
-from repro.transform.algorithm import ModelIR, as_ir, cost_argument
+from repro.lang.parser import parse_expression
+from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.cpp.runtime_header import RUNTIME_HEADER
 from repro.transform.flowgraph import (
     BranchRegion,
@@ -32,18 +32,6 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    CRITICAL_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
 from repro.util.ids import mangle_identifier
 from repro.util.textwriter import CodeWriter
 
@@ -156,10 +144,9 @@ class _CppEmitter:
         w = self.w
         w.begin_section("declarations")
         w.writeln("// Declare performance modeling elements")
-        for declaration in self.ir.declarations:
-            w.writeln(
-                f"{declaration.class_name} {declaration.instance}"
-                f'("{declaration.display_name}", {declaration.node.id});')
+        for spec in self.ir.actions.values():
+            w.writeln(f"{spec.class_name} {spec.instance}"
+                      f'("{spec.node.name}", {spec.node.id});')
         w.end_section()
 
     # -- flow ------------------------------------------------------------------
@@ -198,64 +185,19 @@ class _CppEmitter:
             f"({node.name!r})")
 
     def _emit_action(self, node: ActionNode) -> None:
-        stereotype = performance_stereotype(node)
-        if stereotype is None:
+        """Code fragment, then ``execute(uid, pid, tid, args...)`` — the
+        Fig. 8 call shape for every action kind."""
+        spec = self.ir.actions.get(node.id)
+        if spec is None:
             self.w.writeln(f"// (non-performance element {node.name!r} "
                            "elided)")
             return
-        if node.code is not None:
+        if spec.program is not None:
             self.w.writeln(f"// code associated with {node.name}")
-            for stmt in parse_program(node.code):
+            for stmt in spec.program:
                 emit_stmt(self.w, stmt)
-        instance = self.ir.instance_for(node)
-        if stereotype in (SEND_PLUS, RECV_PLUS, BARRIER_PLUS, BCAST_PLUS,
-                          SCATTER_PLUS, GATHER_PLUS, REDUCE_PLUS,
-                          ALLREDUCE_PLUS):
-            self._emit_communication(node, instance, stereotype)
-            return
-        cost = cost_argument(node)
-        cost_text = expr_to_cpp(parse_expression(cost)) if cost else "0.0"
-        if stereotype == CRITICAL_PLUS:
-            lock = node.tag_value(CRITICAL_PLUS, "lock", "default")
-            self.w.writeln(f"{instance}.execute(uid, pid, tid, "
-                           f'{cost_text}, "{lock}");')
-            return
-        # action+: execute(uid, pid, tid, COST) — the Fig. 8 call shape.
-        self.w.writeln(f"{instance}.execute(uid, pid, tid, {cost_text});")
-
-    def _emit_communication(self, node: ActionNode, instance: str,
-                            stereotype: str) -> None:
-        def tag_expr(tag: str, default: str = "0") -> str:
-            value = node.tag_value(stereotype, tag)
-            source = value if isinstance(value, str) else default
-            return expr_to_cpp(parse_expression(source))
-
-        if stereotype == SEND_PLUS:
-            tag = node.tag_value(stereotype, "tag", 0)
-            self.w.writeln(
-                f"{instance}.execute(uid, pid, tid, "
-                f"{tag_expr('dest')}, {tag_expr('size')}, {tag});")
-        elif stereotype == RECV_PLUS:
-            tag = node.tag_value(stereotype, "tag", 0)
-            self.w.writeln(
-                f"{instance}.execute(uid, pid, tid, "
-                f"{tag_expr('source')}, {tag_expr('size')}, {tag});")
-        elif stereotype == BARRIER_PLUS:
-            self.w.writeln(f"{instance}.execute(uid, pid, tid);")
-        elif stereotype in (BCAST_PLUS, SCATTER_PLUS, GATHER_PLUS):
-            self.w.writeln(
-                f"{instance}.execute(uid, pid, tid, "
-                f"{tag_expr('root')}, {tag_expr('size')});")
-        elif stereotype == REDUCE_PLUS:
-            op = node.tag_value(stereotype, "op", "sum")
-            self.w.writeln(
-                f"{instance}.execute(uid, pid, tid, "
-                f"{tag_expr('root')}, {tag_expr('size')}, \"{op}\");")
-        elif stereotype == ALLREDUCE_PLUS:
-            op = node.tag_value(stereotype, "op", "sum")
-            self.w.writeln(
-                f"{instance}.execute(uid, pid, tid, "
-                f"{tag_expr('size')}, \"{op}\");")
+        args = "".join(f", {_cpp_arg(arg)}" for arg in spec.args)
+        self.w.writeln(f"{spec.instance}.execute(uid, pid, tid{args});")
 
     def _emit_activity_invocation(self, node: ActivityInvocationNode) -> None:
         self._check_inline_cycle(node.behavior, node.name)
@@ -346,6 +288,18 @@ class _CppEmitter:
                     parse_expression(region.negated_stay_guard)) + ")"
             w.writeln(f"if ({condition}) break;")
             self._emit_region(region.post)
+
+
+def _cpp_arg(arg) -> str:
+    """One ``execute()`` argument: an expression, a tag number, an
+    ``op``/``lock`` string, or None for a missing cost."""
+    if arg is None:
+        return "0.0"
+    if isinstance(arg, int):
+        return str(arg)
+    if isinstance(arg, str):
+        return f'"{arg}"'
+    return expr_to_cpp(arg)
 
 
 def _region_nonempty(region: Region) -> bool:

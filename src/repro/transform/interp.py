@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from repro.errors import EstimatorError, TransformError
 from repro.lang.ast import Expr, FloatLit, IntLit
-from repro.lang.evaluator import Environment, Evaluator
-from repro.lang.parser import parse_expression, parse_program
-from repro.lang.types import Type
-from repro.transform.algorithm import ModelIR, as_ir, cost_argument
+from repro.lang.evaluator import Environment, Evaluator, declare_intrinsics
+from repro.lang.parser import parse_expression
+from repro.transform.algorithm import ActionSpec, ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -37,23 +36,6 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    CRITICAL_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
-
-_INTRINSICS = ("uid", "pid", "tid", "size", "nnodes", "nthreads")
-
-#: Distinguishes "plan not built yet" from "node has no stereotype".
-_UNSET = object()
 
 
 def _functions_assign_any(functions, names: set[str]) -> bool:
@@ -76,11 +58,6 @@ class ModelInterpreter:
         self.model = model = self.ir.model
         self.functions = model.function_defs()
         self._expr_cache: dict[str, Expr] = {}
-        # Static model facts resolved once, not per action execution
-        # (same parse-once philosophy as the expression cache above):
-        # node id → action plan (stereotype shape, parsed annotation
-        # expressions, code program), or None for stereotype-less nodes.
-        self._plan_cache: dict[int, tuple | None] = {}
         self._global_names = [variable.name
                               for variable in model.global_variables()]
         # Expressions can only mutate globals through user-defined
@@ -89,6 +66,11 @@ class ModelInterpreter:
         # write-back after each action.
         self._functions_can_mutate = _functions_assign_any(
             self.functions.values(), set(self._global_names))
+        # Static model facts resolved once, not per action execution
+        # (same parse-once philosophy as the expression cache above):
+        # node id → action plan; stereotype-less nodes have none.
+        self._plans = {node_id: self._build_action_plan(spec)
+                       for node_id, spec in self.ir.actions.items()}
 
     # -- caches -----------------------------------------------------------
 
@@ -116,12 +98,9 @@ class ModelInterpreter:
         yield from ()
         evaluator = Evaluator(self.functions)
         env = self._process_environment(ctx)
-        elements = {
-            declaration.node.id: ctx.new(declaration.class_name,
-                                         declaration.display_name,
-                                         declaration.node.id)
-            for declaration in self.ir.declarations
-        }
+        elements = {node_id: ctx.new(spec.class_name, spec.node.name,
+                                     node_id)
+                    for node_id, spec in self.ir.actions.items()}
         strand_env = self._strand_environment(env, ctx)
         main_region = self.ir.regions[self.model.main_diagram_name]
         yield from self._run_region(main_region, ctx, evaluator,
@@ -144,22 +123,15 @@ class ModelInterpreter:
         # generated Python closes over pmp_main's bindings, where the
         # main strand has tid 0).  Thread strands shadow uid/tid in their
         # own child scopes for region-level expressions.
-        for name, value in (("uid", ctx.uid), ("pid", ctx.pid),
-                            ("tid", 0), ("size", ctx.size),
-                            ("nnodes", ctx.nnodes),
-                            ("nthreads", ctx.nthreads)):
-            env.declare(name, Type.INT, value)
+        declare_intrinsics(env, ctx.uid, ctx.pid, 0, ctx.size, ctx.nnodes,
+                           ctx.nthreads)
         return env
 
     @staticmethod
     def _strand_environment(process_env: Environment, ctx) -> Environment:
         env = process_env.child()
-        env.declare("uid", Type.INT, ctx.uid)
-        env.declare("pid", Type.INT, ctx.pid)
-        env.declare("tid", Type.INT, ctx.tid)
-        env.declare("size", Type.INT, ctx.size)
-        env.declare("nnodes", Type.INT, ctx.nnodes)
-        env.declare("nthreads", Type.INT, ctx.nthreads)
+        declare_intrinsics(env, ctx.uid, ctx.pid, ctx.tid, ctx.size,
+                           ctx.nnodes, ctx.nthreads)
         return env
 
     # -- region interpretation ----------------------------------------------------
@@ -268,118 +240,79 @@ class ModelInterpreter:
 
     # -- action plans --------------------------------------------------------
 
-    def _arg(self, node: ActionNode, stereotype: str, tag: str,
-             default: str = "0"):
-        """A pre-parsed annotation argument: ``(True, value)`` for a
-        literal (folded once), ``(False, Expr)`` otherwise."""
-        raw = node.tag_value(stereotype, tag)
-        source = raw if isinstance(raw, str) else default
-        return self._fold(source)
+    def _build_action_plan(self, spec: ActionSpec) -> tuple:
+        """Resolve everything static about an action once.
 
-    def _fold(self, source: str):
-        expr = self._expr(source)
-        if expr.__class__ in (IntLit, FloatLit):
-            return (True, expr.value)
-        return (False, expr)
-
-    def _build_action_plan(self, node: ActionNode) -> tuple | None:
-        """Resolve everything static about an action node once.
-
-        The plan is ``(stereotype, program, sync, args...)`` where
-        ``program`` is the node's parsed code fragment (or None) and
-        ``sync`` says whether executing the node can mutate globals
-        (code fragment present, or user functions that assign one).
+        The plan is ``(kind, program, sync, args...)``: ``program`` is
+        the parsed code fragment (or None), ``sync`` says whether
+        executing the action can mutate globals (code fragment present,
+        or user functions that assign one), and each expression argument
+        is ``(True, value)`` for a literal (folded once) or
+        ``(False, Expr)``; a missing cost is the literal ``0.0``.
         """
-        stereotype = performance_stereotype(node)
-        if stereotype is None:
-            return None
-        program = (parse_program(node.code)
-                   if node.code is not None else None)
-        sync = program is not None or self._functions_can_mutate
-        if stereotype == SEND_PLUS:
-            args = (node.tag_value(stereotype, "tag", 0),
-                    self._arg(node, stereotype, "dest"),
-                    self._arg(node, stereotype, "size"))
-        elif stereotype == RECV_PLUS:
-            args = (node.tag_value(stereotype, "tag", 0),
-                    self._arg(node, stereotype, "source"),
-                    self._arg(node, stereotype, "size"))
-        elif stereotype == BARRIER_PLUS:
-            args = ()
-        elif stereotype in (BCAST_PLUS, SCATTER_PLUS, GATHER_PLUS):
-            args = (self._arg(node, stereotype, "root"),
-                    self._arg(node, stereotype, "size"))
-        elif stereotype == REDUCE_PLUS:
-            args = (node.tag_value(stereotype, "op", "sum"),
-                    self._arg(node, stereotype, "root"),
-                    self._arg(node, stereotype, "size"))
-        elif stereotype == ALLREDUCE_PLUS:
-            args = (node.tag_value(stereotype, "op", "sum"),
-                    self._arg(node, stereotype, "size"))
-        elif stereotype == CRITICAL_PLUS:
-            cost = cost_argument(node)
-            args = (node.tag_value(CRITICAL_PLUS, "lock", "default"),
-                    self._fold(cost) if cost is not None else (True, 0.0))
-        else:  # action+
-            cost = cost_argument(node)
-            args = ((self._fold(cost)
-                     if cost is not None else (True, 0.0)),)
-        return (stereotype, program, sync) + args
+        args = []
+        for arg in spec.args:
+            if arg is None:
+                arg = (True, 0.0)
+            elif isinstance(arg, Expr):
+                arg = ((True, arg.value)
+                       if arg.__class__ in (IntLit, FloatLit)
+                       else (False, arg))
+            args.append(arg)
+        sync = spec.program is not None or self._functions_can_mutate
+        return (spec.kind, spec.program, sync, *args)
 
     def _run_action(self, node: ActionNode, ctx, evaluator: Evaluator,
                     env: Environment, elements: dict):
-        plan = self._plan_cache.get(node.id, _UNSET)
-        if plan is _UNSET:
-            plan = self._build_action_plan(node)
-            self._plan_cache[node.id] = plan
+        plan = self._plans.get(node.id)
         if plan is None:
             return
-        stereotype, program, sync = plan[0], plan[1], plan[2]
+        kind, program, sync = plan[0], plan[1], plan[2]
         if program is not None:
             evaluator.run_program(program, env)
         element = elements[node.id]
         uid, pid, tid = ctx.uid, ctx.pid, ctx.tid
         eval_expr = evaluator.eval_expr
 
-        if stereotype == SEND_PLUS or stereotype == RECV_PLUS:
-            tag, (peer_const, peer), (size_const, size) = plan[3:]
+        if kind == "action":
+            (cost_const, cost), = plan[3:]
+            yield from element.execute(
+                uid, pid, tid,
+                float(cost if cost_const else eval_expr(cost, env)))
+        elif kind == "send" or kind == "recv":
+            (peer_const, peer), (size_const, size), tag = plan[3:]
             yield from element.execute(
                 uid, pid, tid,
                 peer if peer_const else eval_expr(peer, env),
                 size if size_const else eval_expr(size, env),
                 tag)
-        elif stereotype == BARRIER_PLUS:
+        elif kind == "barrier":
             yield from element.execute(uid, pid, tid)
-        elif stereotype in (BCAST_PLUS, SCATTER_PLUS, GATHER_PLUS):
+        elif kind == "bcast" or kind == "scatter" or kind == "gather":
             (root_const, root), (size_const, size) = plan[3:]
             yield from element.execute(
                 uid, pid, tid,
                 root if root_const else eval_expr(root, env),
                 size if size_const else eval_expr(size, env))
-        elif stereotype == REDUCE_PLUS:
-            op, (root_const, root), (size_const, size) = plan[3:]
+        elif kind == "reduce":
+            (root_const, root), (size_const, size), op = plan[3:]
             yield from element.execute(
                 uid, pid, tid,
                 root if root_const else eval_expr(root, env),
                 size if size_const else eval_expr(size, env),
                 op)
-        elif stereotype == ALLREDUCE_PLUS:
-            op, (size_const, size) = plan[3:]
+        elif kind == "allreduce":
+            (size_const, size), op = plan[3:]
             yield from element.execute(
                 uid, pid, tid,
                 size if size_const else eval_expr(size, env),
                 op)
-        elif stereotype == CRITICAL_PLUS:
-            lock, (cost_const, cost) = plan[3:]
+        else:  # critical
+            (cost_const, cost), lock = plan[3:]
             yield from element.execute(
                 uid, pid, tid,
                 float(cost if cost_const else eval_expr(cost, env)),
                 lock)
-        else:  # action+
-            (cost_const, cost), = plan[3:]
-            yield from element.execute(
-                uid, pid, tid,
-                float(cost if cost_const else eval_expr(cost, env)))
         # Write any global mutations back to the shared store so
         # codegen/interp stay observationally equal.  Only a code
         # fragment — or a user function reachable from any annotation

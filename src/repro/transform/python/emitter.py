@@ -20,9 +20,10 @@ import types
 from dataclasses import dataclass
 
 from repro.errors import TransformError, UnsupportedElementError
-from repro.lang.parser import parse_expression, parse_program
+from repro.lang.evaluator import INTRINSICS
+from repro.lang.parser import parse_expression
 from repro.lang.pygen import _render_with_filter, emit_stmt
-from repro.transform.algorithm import ModelIR, as_ir, cost_argument
+from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
     CycleRegion,
@@ -39,23 +40,10 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-from repro.uml.perf_profile import (
-    ALLREDUCE_PLUS,
-    BARRIER_PLUS,
-    BCAST_PLUS,
-    CRITICAL_PLUS,
-    GATHER_PLUS,
-    RECV_PLUS,
-    REDUCE_PLUS,
-    SCATTER_PLUS,
-    SEND_PLUS,
-    performance_stereotype,
-)
 from repro.util.textwriter import CodeWriter
 
 #: Names that stay bare (not routed through the process store ``v``).
-INTRINSIC_NAMES = frozenset(
-    {"uid", "pid", "tid", "size", "nnodes", "nthreads"})
+INTRINSIC_NAMES = frozenset(INTRINSICS)
 
 
 @dataclass
@@ -196,12 +184,10 @@ class _PyEmitter:
         w = self.w
         w.blank()
         w.writeln("# Declare performance modeling elements")
-        for declaration in self.ir.declarations:
-            w.writeln(
-                f"{declaration.instance} = ctx.new("
-                f"{declaration.class_name!r}, "
-                f"{declaration.display_name!r}, {declaration.node.id})")
-            self._bare.add(declaration.instance)
+        for spec in self.ir.actions.values():
+            w.writeln(f"{spec.instance} = ctx.new({spec.class_name!r}, "
+                      f"{spec.node.name!r}, {spec.node.id})")
+            self._bare.add(spec.instance)
 
     # -- flow --------------------------------------------------------------------
 
@@ -252,70 +238,20 @@ class _PyEmitter:
 
     def _emit_action(self, node: ActionNode,
                      fragment_locals: set[str]) -> None:
-        stereotype = performance_stereotype(node)
-        if stereotype is None:
+        spec = self.ir.actions.get(node.id)
+        if spec is None:
             self.w.writeln(f"# (non-performance element {node.name!r} "
                            "elided)")
             return
-        if node.code is not None:
+        if spec.program is not None:
             self.w.writeln(f"# code associated with {node.name}")
-            for stmt in parse_program(node.code):
+            for stmt in spec.program:
                 emit_stmt(self.w, stmt, name_prefix="v.",
                           declared_locals=fragment_locals)
-        instance = self.ir.instance_for(node)
-        if stereotype in (SEND_PLUS, RECV_PLUS, BARRIER_PLUS, BCAST_PLUS,
-                          SCATTER_PLUS, GATHER_PLUS, REDUCE_PLUS,
-                          ALLREDUCE_PLUS):
-            self._emit_communication(node, instance, stereotype,
-                                     fragment_locals)
-            return
-        cost = cost_argument(node)
-        cost_text = (self._expr(cost, fragment_locals)
-                     if cost is not None else "0.0")
-        if stereotype == CRITICAL_PLUS:
-            lock = node.tag_value(CRITICAL_PLUS, "lock", "default")
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid, "
-                f"{cost_text}, {lock!r})")
-            return
+        bare = self._bare | fragment_locals
+        args = "".join(f", {_py_arg(arg, bare)}" for arg in spec.args)
         self.w.writeln(
-            f"yield from {instance}.execute(uid, pid, tid, {cost_text})")
-
-    def _emit_communication(self, node: ActionNode, instance: str,
-                            stereotype: str,
-                            fragment_locals: set[str]) -> None:
-        def tag_expr(tag: str, default: str = "0") -> str:
-            value = node.tag_value(stereotype, tag)
-            source = value if isinstance(value, str) else default
-            return self._expr(source, fragment_locals)
-
-        if stereotype == SEND_PLUS:
-            tag = node.tag_value(stereotype, "tag", 0)
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid, "
-                f"{tag_expr('dest')}, {tag_expr('size')}, {tag})")
-        elif stereotype == RECV_PLUS:
-            tag = node.tag_value(stereotype, "tag", 0)
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid, "
-                f"{tag_expr('source')}, {tag_expr('size')}, {tag})")
-        elif stereotype == BARRIER_PLUS:
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid)")
-        elif stereotype in (BCAST_PLUS, SCATTER_PLUS, GATHER_PLUS):
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid, "
-                f"{tag_expr('root')}, {tag_expr('size')})")
-        elif stereotype == REDUCE_PLUS:
-            op = node.tag_value(stereotype, "op", "sum")
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid, "
-                f"{tag_expr('root')}, {tag_expr('size')}, {op!r})")
-        elif stereotype == ALLREDUCE_PLUS:
-            op = node.tag_value(stereotype, "op", "sum")
-            self.w.writeln(
-                f"yield from {instance}.execute(uid, pid, tid, "
-                f"{tag_expr('size')}, {op!r})")
+            f"yield from {spec.instance}.execute(uid, pid, tid{args})")
 
     def _emit_loop_node(self, node: LoopNode,
                         fragment_locals: set[str]) -> None:
@@ -411,3 +347,13 @@ class _PyEmitter:
             w.writeln("break")
             w.dedent()
             self._emit_region(region.post, fragment_locals)
+
+
+def _py_arg(arg, bare: set[str]) -> str:
+    """One ``execute()`` argument: an expression, a tag number, an
+    ``op``/``lock`` string, or None for a missing cost."""
+    if arg is None:
+        return "0.0"
+    if isinstance(arg, (int, str)):
+        return repr(arg)
+    return _render_with_filter(arg, 0, "v.", bare)

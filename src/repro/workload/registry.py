@@ -3,7 +3,7 @@
 The C++ backend declares ``ActionPlus a1("A1", 4);``; the Python backend
 calls ``ctx.new('ActionPlus', 'A1', 4)``.  Both resolve through this map,
 which is the single source of truth connecting
-:data:`repro.transform.algorithm.RUNTIME_CLASSES` to implementations.
+:data:`repro.transform.algorithm.ACTION_TABLE` to implementations.
 """
 
 from __future__ import annotations

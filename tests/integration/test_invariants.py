@@ -89,7 +89,7 @@ class TestTraceInvariants:
         model, result = run(seed)
         from repro.transform.algorithm import build_ir
         ir = build_ir(model)
-        declared_ids = {d.node.id for d in ir.declarations}
+        declared_ids = set(ir.actions)
         structured_ids = {n.id for n in model.all_nodes()}
         for record in result.trace:
             if record.kind in ("action", "critical"):

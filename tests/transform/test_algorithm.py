@@ -42,22 +42,22 @@ class TestDeclarations:
     def test_sample_model_declares_five_elements(self):
         # Fig. 8(b) lines 64-68 declare {A1, A2, A4, SA1, SA2}.
         ir = build_ir(build_sample_model())
-        declared = {d.display_name for d in ir.declarations}
+        declared = {spec.node.name for spec in ir.actions.values()}
         assert declared == {"A1", "A2", "A4", "SA1", "SA2"}
 
     def test_activity_nodes_not_declared(self):
         # SA becomes a nested block, not an object (per Fig. 8).
         ir = build_ir(build_sample_model())
-        assert "SA" not in {d.display_name for d in ir.declarations}
+        assert "SA" not in {spec.node.name for spec in ir.actions.values()}
 
     def test_instance_name_mangling_fig4(self):
         # Fig. 4: UML name Kernel6 → C++ instance kernel6.
         from repro.samples import build_kernel6_model
         ir = build_ir(build_kernel6_model())
-        declaration = ir.declarations[0]
-        assert declaration.display_name == "Kernel6"
-        assert declaration.instance == "kernel6"
-        assert declaration.class_name == "ActionPlus"
+        spec, = ir.actions.values()
+        assert spec.node.name == "Kernel6"
+        assert spec.instance == "kernel6"
+        assert spec.class_name == "ActionPlus"
 
     def test_duplicate_names_disambiguated(self):
         builder = ModelBuilder("M")
@@ -67,7 +67,7 @@ class TestDeclarations:
         a2 = diagram.action("X", cost="F()")
         diagram.sequence(a1, a2)
         ir = build_ir(builder.build())
-        instances = [d.instance for d in ir.declarations]
+        instances = [spec.instance for spec in ir.actions.values()]
         assert len(instances) == len(set(instances)) == 2
         assert instances[0] == "x"
         assert instances[1] == "x_2"
@@ -79,16 +79,16 @@ class TestDeclarations:
         action = diagram.action("While", cost="F()")
         diagram.sequence(action)
         ir = build_ir(builder.build())
-        assert ir.declarations[0].instance == "while_"
+        spec, = ir.actions.values()
+        assert spec.instance == "while_"
 
     def test_instance_lookup_by_node(self):
         model = build_sample_model()
         ir = build_ir(model)
         a1 = model.main_diagram.node_by_name("A1")
-        assert ir.instance_for(a1) == "a1"
+        assert ir.actions[a1.id].instance == "a1"
         decision = model.main_diagram.node_by_name("d1")
-        with pytest.raises(TransformError):
-            ir.instance_for(decision)
+        assert decision.id not in ir.actions
 
     def test_communication_element_classes(self):
         builder = ModelBuilder("M")
@@ -98,7 +98,8 @@ class TestDeclarations:
         barrier = diagram.barrier("B")
         diagram.sequence(send, recv, barrier)
         ir = build_ir(builder.build())
-        classes = {d.display_name: d.class_name for d in ir.declarations}
+        classes = {spec.node.name: spec.class_name
+                   for spec in ir.actions.values()}
         assert classes == {"S": "MpiSend", "R": "MpiRecv",
                            "B": "MpiBarrier"}
 
