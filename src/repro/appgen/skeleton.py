@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.evaluator import INTRINSICS
 from repro.lang.parser import parse_expression, parse_program
-from repro.lang.pygen import _render_with_filter, emit_stmt
+from repro.lang.pygen import _render_with_filter, emit_stmt, py_comment
 from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
@@ -110,7 +110,7 @@ class _SkeletonEmitter:
             w.writeln("tid = 0")
             self._emit_variables()
             w.blank()
-            w.writeln(f"# {model.main_diagram_name} activity")
+            w.writeln(f"# {py_comment(model.main_diagram_name)} activity")
             self._emit_region(self.ir.regions[model.main_diagram_name])
             w.writeln("return locals()")
         return SkeletonArtifacts(source=w.text(), model_name=model.name)
@@ -124,9 +124,10 @@ class _SkeletonEmitter:
             cost = spec.node.cost
             with w.block(f"def compute_{spec.instance}(state):", None):
                 w.writeln(f'"""TODO: implement the code block modeled by '
-                          f'element {spec.node.name!r}')
+                          f'element {_docstring_text(repr(spec.node.name))}')
                 if cost:
-                    w.writeln(f"(modeled execution time: {cost})")
+                    w.writeln("(modeled execution time: "
+                              f"{_docstring_text(cost)})")
                 w.writeln('"""')
             w.blank()
 
@@ -196,7 +197,7 @@ class _SkeletonEmitter:
     def _emit_leaf(self, node: ActivityNode) -> None:
         w = self.w
         if isinstance(node, ActivityInvocationNode):
-            self._inline(node.behavior, f"# activity {node.name}")
+            self._inline(node.behavior, f"# activity {py_comment(node.name)}")
             return
         if isinstance(node, LoopNode):
             self._loop_counter += 1
@@ -239,7 +240,7 @@ class _SkeletonEmitter:
         w = self.w
         spec = self.ir.actions.get(node.id)
         if node.code is not None:
-            w.writeln(f"# code associated with {node.name}")
+            w.writeln(f"# code associated with {py_comment(node.name)}")
             locals_ = set(self._bare)
             program = (spec.program if spec is not None
                        else parse_program(node.code))
@@ -252,4 +253,10 @@ class _SkeletonEmitter:
         peer = self._render(spec.peer) if spec.peer is not None else None
         root = self._render(spec.root) if spec.root is not None else None
         w.writeln(call.format(peer=peer, root=root, tag=spec.tag)
-                  + f"  # {node.name}")
+                  + f"  # {py_comment(node.name)}")
+
+
+def _docstring_text(text: str) -> str:
+    """``text`` inside a triple-quoted docstring: no escape sequence and
+    no closing quote can come from the model."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

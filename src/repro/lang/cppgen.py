@@ -56,6 +56,29 @@ def _float_literal(value: float) -> str:
     return text + ".0"
 
 
+#: Escapes for a C++ string literal: quote, backslash, and every control
+#: character (three-digit octal, so a following digit is never absorbed).
+_CPP_STRING_ESCAPES = {
+    **{code: f"\\{code:03o}" for code in (*range(0x20), 0x7F)},
+    ord("\\"): "\\\\", ord('"'): '\\"',
+    ord("\n"): "\\n", ord("\t"): "\\t", ord("\r"): "\\r",
+}
+
+
+def cpp_string(text: str) -> str:
+    """``text`` as a C++ string literal."""
+    return f'"{text.translate(_CPP_STRING_ESCAPES)}"'
+
+
+def cpp_comment(text: str) -> str:
+    """``text`` for a ``//`` comment: printable text as is, anything that
+    could end the comment (a line break, a control character, a trailing
+    backslash that splices the next line) as an escaped string literal."""
+    if text.isprintable() and not text.endswith("\\"):
+        return text
+    return cpp_string(text)
+
+
 def expr_to_cpp(expr: Expr, *, use_std_names: bool = True) -> str:
     """Render an expression as C++ source text."""
     return _render(expr, 0, use_std_names)
@@ -69,9 +92,7 @@ def _render(expr: Expr, parent_prec: int, use_std: bool) -> str:
     if isinstance(expr, BoolLit):
         return "true" if expr.value else "false"
     if isinstance(expr, StringLit):
-        escaped = (expr.value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        return f'"{escaped}"'
+        return cpp_string(expr.value)
     if isinstance(expr, Name):
         return expr.ident
     if isinstance(expr, Unary):

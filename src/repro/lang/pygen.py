@@ -57,6 +57,13 @@ _PY_OPS = {
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
+def py_comment(text: str) -> str:
+    """``text`` for a ``#`` comment: printable text as is, anything else
+    (a line break or control character could end the comment) as its
+    Python literal."""
+    return text if text.isprintable() else repr(text)
+
+
 def expr_to_py(expr: Expr, *, name_prefix: str = "") -> str:
     """Render an expression as Python source.
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import TransformError
 from repro.lang.ast import Expr, Program
+from repro.lang.evaluator import INTRINSICS
 from repro.lang.parser import parse_expression, parse_program
 from repro.transform.collect import collect_performance_elements
 from repro.transform.flowgraph import FlowParser, SequenceRegion
@@ -77,6 +78,11 @@ ACTION_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
     REDUCE_PLUS: ("reduce", "MpiReduce", ("root", "size", "op")),
     ALLREDUCE_PLUS: ("allreduce", "MpiAllreduce", ("size", "op")),
 }
+
+#: Names the generated code binds besides the model's own: the Python
+#: module's process store, runtime context, C division helpers and
+#: builtins table.
+_GENERATED_NAMES = ("v", "ctx", "c_div", "c_mod", "_bi")
 
 #: Literal (non-expression) argument tags and their defaults.
 _LITERAL_DEFAULTS = {"tag": 0, "op": "sum", "lock": "default"}
@@ -133,7 +139,9 @@ def build_ir(model: Model) -> ModelIR:
     # performance element whose stereotype maps to a runtime class;
     # structured nodes (activity+/loop+/parallel+) become nested code,
     # not objects, exactly as activity SA in Fig. 8 (lines 79-82).
-    taken: set[str] = set()
+    # An instance name never shadows a name the generated code reads.
+    taken = {*INTRINSICS, *_GENERATED_NAMES, *model.cost_functions,
+             *(variable.name for variable in model.variables)}
     for node in perf_elements:
         stereotype = performance_stereotype(node)
         if stereotype not in ACTION_TABLE:

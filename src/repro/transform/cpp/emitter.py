@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TransformError, UnsupportedElementError
-from repro.lang.cppgen import cpp_type, emit_stmt, expr_to_cpp, function_to_cpp
+from repro.lang.cppgen import (
+    cpp_comment,
+    cpp_string,
+    cpp_type,
+    emit_stmt,
+    expr_to_cpp,
+    function_to_cpp,
+)
 from repro.lang.parser import parse_expression
 from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.cpp.runtime_header import RUNTIME_HEADER
@@ -69,7 +76,7 @@ class _CppEmitter:
         model = self.ir.model
         entry = f"pmp_{mangle_identifier(model.name, lower_first=True)}"
         w = self.w
-        w.writeln(f"// {model.name} — C++ representation of the "
+        w.writeln(f"// {cpp_comment(model.name)} — C++ representation of the "
                   "performance model (PMP).")
         w.writeln("// Generated by Performance Prophet; input for the "
                   "Performance Estimator.")
@@ -120,7 +127,7 @@ class _CppEmitter:
             self._emit_locals()
             self._emit_declarations()
             main_name = self.ir.model.main_diagram_name
-            w.writeln(f"// {main_name} activity")
+            w.writeln(f"// {cpp_comment(main_name)} activity")
             with w.block("{", "}"):
                 self._emit_region(self.ir.regions[main_name])
 
@@ -146,7 +153,7 @@ class _CppEmitter:
         w.writeln("// Declare performance modeling elements")
         for spec in self.ir.actions.values():
             w.writeln(f"{spec.class_name} {spec.instance}"
-                      f'("{spec.node.name}", {spec.node.id});')
+                      f"({cpp_string(spec.node.name)}, {spec.node.id});")
         w.end_section()
 
     # -- flow ------------------------------------------------------------------
@@ -193,7 +200,8 @@ class _CppEmitter:
                            "elided)")
             return
         if spec.program is not None:
-            self.w.writeln(f"// code associated with {node.name}")
+            self.w.writeln(
+                f"// code associated with {cpp_comment(node.name)}")
             for stmt in spec.program:
                 emit_stmt(self.w, stmt)
         args = "".join(f", {_cpp_arg(arg)}" for arg in spec.args)
@@ -201,7 +209,7 @@ class _CppEmitter:
 
     def _emit_activity_invocation(self, node: ActivityInvocationNode) -> None:
         self._check_inline_cycle(node.behavior, node.name)
-        self.w.writeln(f"// Activity {node.name}")
+        self.w.writeln(f"// Activity {cpp_comment(node.name)}")
         with self.w.block("{", "}"):
             self._inline_stack.append(node.behavior)
             try:
@@ -214,7 +222,8 @@ class _CppEmitter:
         self._loop_counter += 1
         index = f"i{self._loop_counter}_"
         iterations = expr_to_cpp(parse_expression(node.iterations))
-        self.w.writeln(f"// Loop {node.name} over diagram {node.behavior}")
+        self.w.writeln(f"// Loop {cpp_comment(node.name)} over diagram "
+                       f"{cpp_comment(node.behavior)}")
         with self.w.block(
                 f"for (int {index} = 0; {index} < ({iterations}); "
                 f"++{index}) {{", "}"):
@@ -228,9 +237,9 @@ class _CppEmitter:
         self._check_inline_cycle(node.behavior, node.name)
         instance = mangle_identifier(node.name, lower_first=True)
         threads = expr_to_cpp(parse_expression(node.num_threads))
-        self.w.writeln(f"// Parallel region {node.name} "
-                       f"(diagram {node.behavior})")
-        self.w.writeln(f'ParallelRegion {instance}("{node.name}", '
+        self.w.writeln(f"// Parallel region {cpp_comment(node.name)} "
+                       f"(diagram {cpp_comment(node.behavior)})")
+        self.w.writeln(f"ParallelRegion {instance}({cpp_string(node.name)}, "
                        f"{node.id});")
         with self.w.block(
                 f"PROPHET_PARALLEL({instance}, {threads}) {{", "}"):
@@ -269,7 +278,8 @@ class _CppEmitter:
 
     def _emit_fork(self, region: ForkRegion) -> None:
         w = self.w
-        w.writeln(f"// Fork {region.fork.name} / join {region.join.name}")
+        w.writeln(f"// Fork {cpp_comment(region.fork.name)} / join "
+                  f"{cpp_comment(region.join.name)}")
         with w.block("PROPHET_SECTIONS {", "}"):
             for arm in region.arms:
                 with w.block("PROPHET_SECTION {", "}"):
@@ -277,7 +287,7 @@ class _CppEmitter:
 
     def _emit_cycle(self, region: CycleRegion) -> None:
         w = self.w
-        w.writeln(f"// Loop (header {region.header.name})")
+        w.writeln(f"// Loop (header {cpp_comment(region.header.name)})")
         with w.block("while (true) {", "}"):
             self._emit_region(region.pre)
             if region.break_condition is not None:
@@ -298,7 +308,7 @@ def _cpp_arg(arg) -> str:
     if isinstance(arg, int):
         return str(arg)
     if isinstance(arg, str):
-        return f'"{arg}"'
+        return cpp_string(arg)
     return expr_to_cpp(arg)
 
 

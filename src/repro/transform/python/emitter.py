@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.evaluator import INTRINSICS
 from repro.lang.parser import parse_expression
-from repro.lang.pygen import _render_with_filter, emit_stmt
+from repro.lang.pygen import _render_with_filter, emit_stmt, py_comment
 from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.flowgraph import (
     BranchRegion,
@@ -96,7 +96,7 @@ class _PyEmitter:
     def emit(self) -> PyArtifacts:
         model = self.ir.model
         w = self.w
-        w.writeln(f"# {model.name} — Python representation of the "
+        w.writeln(f"# {py_comment(model.name)} — Python representation of the "
                   "performance model (PMP).")
         w.writeln("# Generated by Performance Prophet; executed by the "
                   "Performance Estimator.")
@@ -120,7 +120,7 @@ class _PyEmitter:
             self._emit_declarations()
             main_name = self.ir.model.main_diagram_name
             w.blank()
-            w.writeln(f"# {main_name} activity")
+            w.writeln(f"# {py_comment(main_name)} activity")
             self._emit_region(self.ir.regions[main_name],
                               fragment_locals=set(self._bare))
         return PyArtifacts(source=w.text(), entry_point="pmp_main",
@@ -215,7 +215,7 @@ class _PyEmitter:
                    fragment_locals: set[str]) -> None:
         if isinstance(node, ActivityInvocationNode):
             self._check_inline_cycle(node.behavior, node.name)
-            self.w.writeln(f"# Activity {node.name}")
+            self.w.writeln(f"# Activity {py_comment(node.name)}")
             self._inline_stack.append(node.behavior)
             try:
                 self._emit_region(self.ir.regions[node.behavior],
@@ -244,7 +244,7 @@ class _PyEmitter:
                            "elided)")
             return
         if spec.program is not None:
-            self.w.writeln(f"# code associated with {node.name}")
+            self.w.writeln(f"# code associated with {py_comment(node.name)}")
             for stmt in spec.program:
                 emit_stmt(self.w, stmt, name_prefix="v.",
                           declared_locals=fragment_locals)
@@ -259,7 +259,8 @@ class _PyEmitter:
         self._loop_counter += 1
         index = f"_i{self._loop_counter}"
         iterations = self._expr(node.iterations, fragment_locals)
-        self.w.writeln(f"# Loop {node.name} over diagram {node.behavior}")
+        self.w.writeln(f"# Loop {py_comment(node.name)} over diagram "
+                       f"{py_comment(node.behavior)}")
         with self.w.block(f"for {index} in range(int({iterations})):",
                           None):
             self._inline_stack.append(node.behavior)
@@ -275,8 +276,8 @@ class _PyEmitter:
         self._helper_counter += 1
         helper = f"_par{self._helper_counter}_body"
         threads = self._expr(node.num_threads, fragment_locals)
-        self.w.writeln(f"# Parallel region {node.name} "
-                       f"(diagram {node.behavior})")
+        self.w.writeln(f"# Parallel region {py_comment(node.name)} "
+                       f"(diagram {py_comment(node.behavior)})")
         with self.w.block(f"def {helper}(ctx, uid, pid, tid):", None):
             self.w.writeln("yield from ()  # generator marker")
             self._inline_stack.append(node.behavior)
@@ -332,7 +333,7 @@ class _PyEmitter:
     def _emit_cycle(self, region: CycleRegion,
                     fragment_locals: set[str]) -> None:
         w = self.w
-        w.writeln(f"# Loop (header {region.header.name})")
+        w.writeln(f"# Loop (header {py_comment(region.header.name)})")
         with w.block("while True:", None):
             self._emit_region(region.pre, fragment_locals)
             if region.break_condition is not None:

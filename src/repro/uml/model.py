@@ -17,6 +17,15 @@ from repro.lang.parser import parse_expression, parse_function_body
 from repro.lang.types import Type
 from repro.uml.diagram import ActivityDiagram
 from repro.uml.element import Element, NamedElement
+from repro.util.ids import is_valid_identifier
+
+
+def _check_identifier(what: str, name: str) -> None:
+    """Generated code binds this name as is, in C++ and in Python."""
+    if not is_valid_identifier(name):
+        raise ModelError(
+            f"{what} {name!r} is not an identifier (ASCII letters, digits "
+            "and underscores, not a C++ or Python keyword)")
 
 
 @dataclass
@@ -33,6 +42,7 @@ class VariableDeclaration:
     scope: str = "global"
 
     def __post_init__(self) -> None:
+        _check_identifier("variable name", self.name)
         if self.scope not in ("global", "local"):
             raise ModelError(
                 f"variable {self.name!r}: scope must be 'global' or "
@@ -57,6 +67,7 @@ class CostFunction:
     def __init__(self, name: str, body: str,
                  params: str = "",
                  return_type: Type = Type.DOUBLE) -> None:
+        _check_identifier("cost function name", name)
         self.name = name
         self.body_source = body
         self.params_source = params
@@ -84,6 +95,8 @@ def _parse_params(function_name: str, params: str) -> tuple[Param, ...]:
                 f"cost function {function_name!r}: malformed parameter "
                 f"{chunk.strip()!r} (expected 'type name')")
         type_name, param_name = pieces
+        _check_identifier(f"cost function {function_name!r}: parameter",
+                          param_name)
         try:
             param_type = Type.from_name(type_name)
         except ValueError as exc:

@@ -65,7 +65,7 @@ def is_valid_identifier(name: str) -> bool:
     """Return True if ``name`` is usable as an identifier in both C++ and
     Python without mangling."""
     return bool(
-        _IDENT_RE.match(name)
+        _IDENT_RE.fullmatch(name)
         and name not in _CPP_KEYWORDS
         and not keyword.iskeyword(name)
     )

@@ -1,0 +1,89 @@
+"""Models whose names could break the generated code.
+
+Valid models (``ModelChecker.assert_valid`` accepts each) whose text the
+emitters must not turn into code, and whose element names must not
+collide with the names the generated code binds.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from repro.uml.activities import ActionNode
+from repro.uml.builder import ModelBuilder
+
+
+def payload(marker: Path) -> str:
+    """A Python statement that creates ``marker``, ending in a comment
+    so whatever text follows it on its line is ignored."""
+    return f"__import__('pathlib').Path({str(marker)!r}).touch()  #"
+
+
+def named_payload_model(marker: Path):
+    """A model whose name is a line break and a statement: written raw
+    into the generated module's header comment, the statement runs."""
+    builder = ModelBuilder(f"Q\n{payload(marker)}")
+    builder.global_var("n", "int", "2")
+    main = builder.diagram("Main", main=True)
+    main.sequence(main.action("Work", cost="0.001 * n"))
+    return builder.build()
+
+
+def hostile_model(marker: Path):
+    """Line breaks, carriage returns, quotes, backslashes (one trailing)
+    and statement payloads in the model, diagram, element, fork,
+    loop-header, ``lock`` and ``op`` strings."""
+    text = payload(marker)
+    builder = ModelBuilder(f"Q\n{text}")
+    builder.global_var("n", "int", "2")
+    builder.cost_function("F", "0.001 * n")
+    loop = builder.diagram(f'Body "x" \\\n    {text}')
+    loop.sequence(loop.action('say """hi"""', cost="F()"))
+    main = builder.diagram(f"Main\n    {text}", main=True)
+    quoted = main.action('say "hi"', cost="F()", code="n = n + 1;")
+    slashed = main.action("back\\slash", time=0.5)
+    trailing = main.action("trail\\", cost="F()", code="n = n + 1;")
+    locked = main.critical("cr\rlf", lock=f'lk"\\\n{text}', cost="F()")
+    reduced = main.reduce("Red\\", size="n", op=f'max"\\\n{text}')
+    repeated = main.loop(f"Rep\\\n    {text}", f'Body "x" \\\n    {text}',
+                         iterations="2")
+    fork, join = main.fork(f"fk\n    {text}"), main.join("jn\\")
+    first = main.action(f"E\n    {text}", cost="F()", code="n = n + 1;")
+    second = main.action("x2\\", time=0.1)
+    head, test = main.merge(f"hd\\\n    {text}"), main.decision("t")
+    step = main.action(f"Step\n{text}", cost="F()", code="n = n + 1;")
+    initial, final = main.initial(), main.final()
+    main.chain(initial, quoted, slashed, trailing, locked, reduced,
+               repeated, fork)
+    main.branch(fork, join, (None, [first]), (None, [second]))
+    main.chain(join, head, test)
+    main.flow(test, step, guard="n < 8")
+    main.flow(step, head)
+    main.flow(test, final, guard="else")
+    return builder.build()
+
+
+def _one_action(action_name: str, *, global_name: str = "N",
+                local_name: str | None = None):
+    builder = ModelBuilder("Clash")
+    builder.global_var(global_name, "int", "3")
+    cost = f"0.25 * {global_name}"
+    if local_name is not None:
+        builder.local_var(local_name, "double", "0.5")
+        cost = f"{local_name} * {global_name}"
+    main = builder.diagram("Main", main=True)
+    plain = main.diagram.add_node(ActionNode(builder.next_id(), "Plain"))
+    main.sequence(main.action(action_name, cost=cost), plain,
+                  main.action("After", cost=cost))
+    return builder.build()
+
+
+#: Valid models whose action's instance name was a name the generated
+#: code binds: the ``pid`` intrinsic, the process store ``v``, the
+#: runtime context ``ctx``, and a model local.
+CLASH_MODELS = {
+    "pid": lambda: _one_action("Pid"),
+    "v": lambda: _one_action("V"),
+    "ctx": lambda: _one_action("Ctx"),
+    "local": lambda: _one_action("T", local_name="t"),
+}
