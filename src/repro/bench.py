@@ -203,15 +203,12 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
         lambda: _cold_sweep(models, trace="full"), repeats)
     summary_wall, _ = _best(
         lambda: _cold_sweep(models, trace="summary"), repeats)
-    off_wall, _ = _best(
-        lambda: _cold_sweep(models, trace="off"), repeats)
     entry = {
         "description": "cold 3-scenario sweep, serial, codegen+interp, "
                        "processes 2 and 4",
         "events": events,
         "wall_s_full": round(full_wall, 4),
         "wall_s_summary": round(summary_wall, 4),
-        "wall_s_off": round(off_wall, 4),
         "events_per_s_summary": round(events / summary_wall),
         "speedup_summary_vs_full": round(full_wall / summary_wall, 3),
     }
@@ -228,7 +225,7 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
     #    loop + recorder).
     stencil = dict(models)["stencil2d"]
     tiers = {}
-    for tier in ("full", "summary", "off"):
+    for tier in ("full", "summary"):
         wall, tier_events = _estimate_tier(stencil, tier, repeats)
         tiers[tier] = {"wall_s": round(wall, 5),
                        "events_per_s": round(tier_events / wall)}

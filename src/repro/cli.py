@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8350)
-    serve.add_argument("--trace-tier", choices=("full", "summary", "off"),
+    serve.add_argument("--trace-tier", choices=("full", "summary"),
                        default="full",
                        help="recording tier for served evaluations "
                             "(default full, so service-written cache "
@@ -405,12 +405,11 @@ def _add_sweep_axis_args(sub: argparse.ArgumentParser) -> None:
                           "byte-identical either way; per-point "
                           "analytic work still never counts toward "
                           "the pool floor)")
-    sub.add_argument("--trace-tier", choices=("full", "summary", "off"),
+    sub.add_argument("--trace-tier", choices=("full", "summary"),
                      default="summary",
                      help="estimator recording tier for simulated "
                           "backends (default summary: identical "
-                          "results, per-kind counts only; off skips "
-                          "recording and is never cached)")
+                          "results, per-kind counts only)")
     sub.add_argument("--job-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-job wall-clock deadline on pool "

@@ -7,7 +7,6 @@ and produces the trace file (TF) that feeds performance visualization.
 
 from repro.estimator.trace import (
     TRACE_TIERS,
-    NullTraceRecorder,
     SummaryTraceRecorder,
     TraceRecord,
     TraceRecorder,
@@ -32,7 +31,7 @@ from repro.estimator.backends import (
 
 __all__ = [
     "TRACE_TIERS", "TraceRecord", "TraceRecorder",
-    "SummaryTraceRecorder", "NullTraceRecorder", "make_recorder",
+    "SummaryTraceRecorder", "make_recorder",
     "validate_trace_tier", "read_trace", "write_trace",
     "PerformanceEstimator", "EstimationResult", "estimate",
     "TraceAnalysis",

@@ -50,11 +50,11 @@ class EstimationResult:
     events_processed: int
     mode: str
     #: Number of records the run produced (equals ``len(trace)`` on the
-    #: ``full`` tier; preserved exactly by ``summary``, 0 for ``off``).
+    #: ``full`` tier; preserved exactly by ``summary``).
     trace_records: int = 0
     #: Which trace tier produced this result (see TRACE_TIERS).
     trace_tier: str = "full"
-    #: Per-kind record counts (full and summary tiers; empty for off).
+    #: Per-kind record counts (either tier).
     trace_counts: dict = field(default_factory=dict)
     #: Post-run diagnostics: messages that drained into an inbox but were
     #: never matched by any receive (MPI's unexpected-message queue at
@@ -119,7 +119,7 @@ class PerformanceEstimator:
     ``trace`` selects the recording tier (see
     :data:`repro.estimator.trace.TRACE_TIERS`): ``"full"`` materializes
     every record, ``"summary"`` keeps only per-kind counts (identical
-    ``trace_records`` totals, no allocation), ``"off"`` records nothing.
+    ``trace_records`` totals, no allocation).
     Predicted time and event counts are byte-identical across tiers —
     recording is observation, never behavior.
     """

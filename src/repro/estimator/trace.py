@@ -27,8 +27,8 @@ CORE_KINDS = frozenset({
 #: Recording tiers, cheapest last.  ``full`` materializes every
 #: :class:`TraceRecord` (visualization, trace files); ``summary`` keeps
 #: only per-kind counts (sweeps — the cached ``trace_records`` payload
-#: count is preserved exactly); ``off`` records nothing.
-TRACE_TIERS = ("full", "summary", "off")
+#: count is preserved exactly).
+TRACE_TIERS = ("full", "summary")
 
 
 @dataclass(frozen=True)
@@ -125,27 +125,6 @@ class SummaryTraceRecorder:
         return []
 
 
-class NullTraceRecorder:
-    """The ``off`` tier: recording is a no-op."""
-
-    tier = "off"
-
-    __slots__ = ()
-
-    def record(self, kind: str, element_id: int, element: str, uid: int,
-               pid: int, tid: int, start: float, end: float) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def counts_by_kind(self) -> dict[str, int]:
-        return {}
-
-    def sorted(self) -> list[TraceRecord]:
-        return []
-
-
 def validate_trace_tier(tier: str) -> str:
     if tier not in TRACE_TIERS:
         raise TraceError(
@@ -159,9 +138,7 @@ def make_recorder(tier: str = "full"):
     validate_trace_tier(tier)
     if tier == "full":
         return TraceRecorder()
-    if tier == "summary":
-        return SummaryTraceRecorder()
-    return NullTraceRecorder()
+    return SummaryTraceRecorder()
 
 
 _FIELDS = ["kind", "element_id", "element", "uid", "pid", "tid",

@@ -90,7 +90,7 @@ class EvaluationService:
         # The recording tier jobs run at.  Serving keeps the sweep
         # payload contract either way; "full" stays the default because
         # cache entries written by a service should be indistinguishable
-        # from `prophet sweep`'s, and "off" entries are uncacheable.
+        # from `prophet sweep`'s.
         self.trace = validate_trace_tier(trace)
         # Analytic requests run through the grid-compiled plan path by
         # default (byte-identical payloads; a kill switch for A/B

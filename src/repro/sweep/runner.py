@@ -42,9 +42,7 @@ likewise amortizes the transform.
 
 ``trace`` selects the estimator's recording tier for the simulated
 backends (default ``"summary"`` — identical payloads to ``"full"``,
-none of the per-record allocation).  ``"off"`` runs are never written
-to the result cache: their ``trace_records`` is 0, which would corrupt
-the payload other tiers expect to share.
+none of the per-record allocation).
 
 Analytic jobs take a different road entirely: cache misses are grouped
 by structural hash and dispatched through the grid-compiled plan path
@@ -681,8 +679,7 @@ def run_jobs(jobs: Sequence[SweepJob],
 
     ``trace`` is the estimator recording tier for points that actually
     run (cached points were recorded at whatever tier produced them —
-    payloads are tier-invariant except under ``"off"``, whose results
-    are therefore never written back to the cache).
+    payloads are tier-invariant).
 
     ``analytic_grid`` routes analytic cache misses through the
     grid-compiled plan path (byte-identical payloads; ``False`` forces
@@ -766,7 +763,7 @@ def run_jobs(jobs: Sequence[SweepJob],
             # journaled "ok" must always be backed by a durable cache
             # entry, whatever instant the campaign process dies at —
             # otherwise a resume would have to re-run finished work.
-            if status == "ok" and cache is not None and trace != "off":
+            if status == "ok" and cache is not None:
                 cache.put(key_of[job.index], _payload_of(outcome),
                           meta={"point": job.describe()},
                           into=cache_stats)
@@ -839,7 +836,6 @@ def run_jobs(jobs: Sequence[SweepJob],
         outcomes.update(zip((job.index for job in pending),
                             dispatched))
 
-    cacheable = trace != "off"
     job_status = obs.counter(
         "sweep_jobs_total",
         "Sweep points by how they were resolved.",
@@ -870,7 +866,7 @@ def run_jobs(jobs: Sequence[SweepJob],
             else (status if status in ("ok", "timeout", "quarantined")
                   else "error")).inc()
         if cached or status == "ok":
-            if not cached and cache is not None and cacheable \
+            if not cached and cache is not None \
                     and job.index not in checkpointed:
                 cache.put(key, _payload_of(outcome),
                           meta={"point": job.describe()},

@@ -46,8 +46,8 @@ class RuntimeState:
     sim: Simulation
     cluster: Cluster
     comm: "Communicator"
-    #: Any trace tier's recorder (TraceRecorder, SummaryTraceRecorder,
-    #: or NullTraceRecorder) — workload ops only call ``.record(...)``.
+    #: Either trace tier's recorder (TraceRecorder or
+    #: SummaryTraceRecorder) — workload ops only call ``.record(...)``.
     trace: TraceRecorder
     model_name: str = "model"
     _uid_counter: int = 0

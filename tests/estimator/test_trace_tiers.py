@@ -4,14 +4,13 @@ The sweep engine runs at ``trace="summary"`` by default; these tests pin
 the contract that makes that safe: predicted time and event counts are
 byte-identical across tiers, and the ``summary`` recorder preserves the
 ``full`` tier's record counts exactly (the cached ``trace_records``
-payload key), while ``off`` records nothing.
+payload key).
 """
 
 import pytest
 
 from repro.errors import EstimatorError, TraceError
 from repro.estimator import (
-    NullTraceRecorder,
     PerformanceEstimator,
     SummaryTraceRecorder,
     TraceRecorder,
@@ -33,13 +32,15 @@ class TestRecorderZoo:
     def test_make_recorder_tiers(self):
         assert isinstance(make_recorder("full"), TraceRecorder)
         assert isinstance(make_recorder("summary"), SummaryTraceRecorder)
-        assert isinstance(make_recorder("off"), NullTraceRecorder)
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(TraceError, match="trace tier"):
             validate_trace_tier("verbose")
         with pytest.raises(TraceError, match="trace tier"):
             PerformanceEstimator(trace="verbose")
+        # The recording-free tier measured no faster than summary.
+        with pytest.raises(TraceError, match="trace tier"):
+            validate_trace_tier("off")
 
     def test_summary_counts_match_full(self):
         full, summary = make_recorder("full"), make_recorder("summary")
@@ -63,12 +64,6 @@ class TestRecorderZoo:
             make_recorder("full").record(
                 "action", 1, "A", 0, 0, 0, 2.0, 1.0)
 
-    def test_null_recorder_records_nothing(self):
-        null = make_recorder("off")
-        null.record("action", 1, "A", 0, 0, 0, 0.0, 1.0)
-        assert len(null) == 0
-        assert null.counts_by_kind() == {}
-
 
 MODELS = [
     ("sample", build_sample_model),
@@ -86,17 +81,13 @@ class TestTierIdentity:
         payloads = {
             tier: evaluate_point(model, backend, _params(), check=False,
                                  trace=tier)
-            for tier in ("full", "summary", "off")
+            for tier in ("full", "summary")
         }
-        full = payloads["full"]
-        for tier in ("summary", "off"):
-            assert payloads[tier]["predicted_time"] == \
-                full["predicted_time"]
-            assert payloads[tier]["events"] == full["events"]
-        # summary preserves the record count exactly; off reports none.
-        assert payloads["summary"]["trace_records"] == \
-            full["trace_records"] > 0
-        assert payloads["off"]["trace_records"] == 0
+        full, summary = payloads["full"], payloads["summary"]
+        assert summary["predicted_time"] == full["predicted_time"]
+        assert summary["events"] == full["events"]
+        # summary preserves the record count exactly.
+        assert summary["trace_records"] == full["trace_records"] > 0
 
     def test_estimator_summary_counts_match_full_run(self):
         model = build_sample_model()

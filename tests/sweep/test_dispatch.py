@@ -124,17 +124,6 @@ class TestShipOnceTable:
 
 
 class TestTraceTierCaching:
-    def test_off_tier_results_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        result = run_sweep(small_spec(), cache=cache, trace="off")
-        assert result.failed() == []
-        assert cache.stats.puts == 0
-        # A later summary sweep finds nothing and writes real payloads.
-        cache2 = ResultCache(tmp_path / "cache")
-        result2 = run_sweep(small_spec(), cache=cache2, trace="summary")
-        assert all(not r.cached for r in result2)
-        assert cache2.stats.puts == len(result2)
-
     def test_summary_and_full_share_cache_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         first = run_sweep(small_spec(), cache=cache, trace="full")
@@ -154,6 +143,8 @@ class TestTraceTierCaching:
         from repro.errors import TraceError
         with pytest.raises(TraceError, match="trace tier"):
             run_sweep(small_spec(), trace="verbose")
+        with pytest.raises(TraceError, match="trace tier"):
+            run_sweep(small_spec(), trace="off")
 
 
 class TestLegacyExecutorCompat:
