@@ -242,9 +242,7 @@ class _SkeletonEmitter:
         if node.code is not None:
             w.writeln(f"# code associated with {py_comment(node.name)}")
             locals_ = set(self._bare)
-            program = (spec.program if spec is not None
-                       else parse_program(node.code))
-            for stmt in program:
+            for stmt in parse_program(node.code):
                 emit_stmt(w, stmt, name_prefix="", declared_locals=locals_)
         if spec is None:
             return

@@ -40,14 +40,7 @@ from repro.lang.ast import (
     While,
 )
 from repro.lang.cppgen import expr_to_cpp, function_to_cpp, stmts_to_cpp
-from repro.lang.evaluator import (
-    INTRINSICS,
-    Environment,
-    Evaluator,
-    c_div,
-    c_mod,
-    declare_intrinsics,
-)
+from repro.lang.evaluator import Environment, Evaluator, c_div, c_mod
 from repro.lang.lexer import tokenize
 from repro.lang.parser import (
     parse_expression,
@@ -66,8 +59,7 @@ __all__ = [
     "Type", "tokenize",
     "parse_expression", "parse_program", "parse_function",
     "parse_function_body",
-    "Evaluator", "Environment", "INTRINSICS", "declare_intrinsics",
-    "c_div", "c_mod",
+    "Evaluator", "Environment", "c_div", "c_mod",
     "TypeChecker", "free_names",
     "expr_to_cpp", "stmts_to_cpp", "function_to_cpp",
     "expr_to_py", "stmts_to_py",
