@@ -8,15 +8,17 @@ action's instance name never shadows a name the generated code binds.
 
 import pytest
 
+from repro.appgen.skeleton import generate_skeleton
 from repro.checker import ModelChecker
 from repro.errors import ModelError, XmlFormatError
 from repro.estimator.backends import evaluate_point
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
-from repro.appgen.skeleton import generate_skeleton
 from repro.service.request import EvaluationRequest
 from repro.service.service import EvaluationService
 from repro.transform.algorithm import build_ir
+from repro.transform.cpp.emitter import transform_to_cpp
+from repro.transform.python.emitter import transform_to_python
 from repro.uml.builder import ModelBuilder
 from repro.xmlio.reader import model_from_xml
 from repro.xmlio.writer import model_to_xml
@@ -60,8 +62,6 @@ class TestModelTextStaysText:
         assert not marker.exists()
 
     def test_names_render_as_literals(self, tmp_path):
-        from repro.transform.cpp.emitter import transform_to_cpp
-        from repro.transform.python.emitter import transform_to_python
         ir = build_ir(hostile_model(tmp_path / "marker"))
         cpp = transform_to_cpp(ir).source
         assert 'ActionPlus say__hi_("say \\"hi\\"", ' in cpp
