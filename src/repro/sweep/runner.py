@@ -209,16 +209,14 @@ def execute_job(job: SweepJob, trace: str = "full",
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-#: Pre-flight screening budgets: per-rank program points / comm events
-#: the static matcher may spend proving a pending simulated job doomed.
-#: Deliberately far below the analyzer's own budgets — exceeding them
-#: makes the trace inexact, the matcher claims nothing, and the job
-#: simply runs.  Cheap screening, never a tax on legitimate sweeps.
+#: Pre-flight budgets: per-rank program points / comm events the static
+#: matcher may spend proving a failed job doomed; past them it claims
+#: nothing and the job keeps the failure its run reported.
 PREFLIGHT_OP_BUDGET = 50_000
 PREFLIGHT_EVENT_CAP = 2_000
 
 #: Pre-flight verdicts per (model hash, processes, eager threshold):
-#: either ``None`` (run the job) or the error string to skip it with.
+#: ``""`` for no proven failure, else the job's diagnostic.
 _PREFLIGHT_MEMO: LRUMap = LRUMap(capacity=256)
 
 
@@ -227,24 +225,31 @@ def clear_preflight_memo() -> None:
     _PREFLIGHT_MEMO.clear()
 
 
+def _preflight_key(job: SweepJob) -> tuple:
+    return (job.model_hash, job.params.processes,
+            job.network.eager_threshold)
+
+
 def _preflight_verdict(job: SweepJob, models: Resolutions,
                        cfgs: dict) -> str | None:
-    """The error to skip ``job`` with, or ``None`` to let it run.
+    """The diagnostic that explains ``job``'s failure, or ``None``.
 
-    Only *proven* failures skip: an exact communication match that is
-    guaranteed to deadlock, or an exact trace that reaches an
+    Only *proven* failures give one: an exact communication match that
+    is guaranteed to deadlock, or an exact trace that reaches an
     out-of-range peer.  Ambiguous, inexact, or budget-exceeding
-    analyses return ``None`` — the simulation is the arbiter then.  So
-    does a model that fails to resolve: its executor reports the
+    analyses return ``None`` — the simulation's own error stands.  So
+    does a model that fails to resolve: its executor reported the
     resolution error, exactly as with the pre-flight off.  ``cfgs``
-    holds the screen's CFGs by model hash, one per model whatever the
+    holds the call's CFGs by model hash, one per model whatever the
     process counts and eager thresholds asked of it.
     """
-    key = (job.model_hash, job.params.processes,
-           job.network.eager_threshold)
+    key = _preflight_key(job)
     cached = _PREFLIGHT_MEMO.get(key)
     if cached is not None:
         return cached or None  # "" encodes a clean verdict
+    obs.counter("sweep_preflight_verdicts_total",
+                "Pre-flight verdicts computed (memo misses); only "
+                "simulated jobs that did not end ok ask for one.").inc()
     try:
         from repro.analysis.cfg import build_model_cfg
         from repro.analysis.comm import enumerate_traces, match_traces
@@ -258,7 +263,7 @@ def _preflight_verdict(job: SweepJob, models: Resolutions,
                                   op_budget=PREFLIGHT_OP_BUDGET,
                                   event_cap=PREFLIGHT_EVENT_CAP)
         match = match_traces(traces, job.network.eager_threshold)
-    except Exception:  # noqa: BLE001 — screening must never block a sweep
+    except Exception:  # noqa: BLE001 — the verdict must never fail a sweep
         _PREFLIGHT_MEMO.put(key, "")
         return None
     verdict = ""
@@ -274,26 +279,6 @@ def _preflight_verdict(job: SweepJob, models: Resolutions,
                    f"{job.params.processes} process(es)")
     _PREFLIGHT_MEMO.put(key, verdict)
     return verdict or None
-
-
-def _preflight(pending: Sequence[SweepJob], models: Resolutions
-               ) -> tuple[list[SweepJob], dict[int, str]]:
-    """Screen pending simulated jobs; returns (to run, skips by index)."""
-    runnable: list[SweepJob] = []
-    skips: dict[int, str] = {}
-    cfgs: dict = {}
-    for job in pending:
-        verdict = (_preflight_verdict(job, models, cfgs)
-                   if job.backend in SIMULATED_BACKENDS else None)
-        if verdict is None:
-            runnable.append(job)
-        else:
-            skips[job.index] = verdict
-    if skips:
-        obs.counter("sweep_preflight_skips_total",
-                    "Jobs skipped because static analysis proved them "
-                    "doomed at their process count.").inc(len(skips))
-    return runnable, skips
 
 
 #: The pool floor: fewest pending *simulated* jobs that justify forking
@@ -603,7 +588,7 @@ def make_executor(executor: str | object,
 
 
 def _run_with_trace(runner, jobs: Sequence[SweepJob], trace: str,
-                    on_outcome=None,
+                    on_outcome: Callable[[SweepJob, dict], None],
                     models: Resolutions | None = None) -> list[dict]:
     """Call ``runner.run``, passing ``trace``/``on_outcome``/``models``
     only if accepted (keeps pre-trace-tier custom executors working;
@@ -615,14 +600,14 @@ def _run_with_trace(runner, jobs: Sequence[SweepJob], trace: str,
     kwargs = {}
     if "trace" in accepted:
         kwargs["trace"] = trace
-    if on_outcome is not None and "on_outcome" in accepted:
+    if "on_outcome" in accepted:
         kwargs["on_outcome"] = on_outcome
     if models is not None and "models" in accepted:
         kwargs["models"] = models
     outcomes = runner.run(jobs, **kwargs)
-    if on_outcome is not None and "on_outcome" not in accepted:
-        # Custom executors that predate journaling still journal —
-        # just per dispatch instead of per completion.
+    if "on_outcome" not in accepted:
+        # Custom executors that take no callback still get it (the
+        # pre-flight, the journal) — per dispatch, not per completion.
         for job, outcome in zip(jobs, outcomes):
             on_outcome(job, outcome)
     return outcomes
@@ -668,14 +653,13 @@ def run_jobs(jobs: Sequence[SweepJob],
     re-running and journaled successes are served from the cache, so a
     crashed or killed campaign re-executes only unfinished work.
 
-    ``preflight`` statically screens pending *simulated* jobs before
-    dispatch: a job whose communication match is a proven failure at
-    its process count (guaranteed deadlock, out-of-range peer) is
-    captured as an error result carrying the analysis diagnostic
-    instead of burning simulation time on a certain ``DeadlockError``.
-    Screening is memoized per (model, size, threshold) and
-    budget-capped, and it only ever *skips proven-doomed* jobs — an
-    inexact or ambiguous analysis changes nothing.
+    ``preflight`` explains failed *simulated* jobs: one that does not
+    end ``ok`` gets a static verdict, and a proven failure at its
+    process count (guaranteed deadlock, out-of-range peer) becomes an
+    error carrying the diagnostic before the campaign journals it.
+    Verdicts are memoized per (model, size, threshold) and
+    budget-capped; a memoized doomed verdict skips its jobs before
+    dispatch.  A healthy sweep computes none.
 
     ``trace`` is the estimator recording tier for points that actually
     run (cached points were recorded at whatever tier produced them —
@@ -752,29 +736,47 @@ def run_jobs(jobs: Sequence[SweepJob],
             "Jobs skipped on campaign resume (journaled as finished)."
         ).inc(len(resumed))
 
-    on_outcome = None
-    checkpointed: set[int] = set()
-    if campaign is not None:
-        def on_outcome(job: SweepJob, outcome: dict) -> None:
-            status = outcome.get("status", "error")
-            if status not in TERMINAL_STATUSES:
-                status = "error"
-            # Persist the payload BEFORE journaling the success: a
-            # journaled "ok" must always be backed by a durable cache
-            # entry, whatever instant the campaign process dies at —
-            # otherwise a resume would have to re-run finished work.
-            if status == "ok" and cache is not None:
-                cache.put(key_of[job.index], _payload_of(outcome),
-                          meta={"point": job.describe()},
-                          into=cache_stats)
-                checkpointed.add(job.index)
-            campaign.record(key_of[job.index], status,
-                            outcome.get("error"))
-
     pending = [job for job in jobs
                if job.index not in served and job.index not in journaled]
     outcomes: dict[int, dict] = {}
     models: Resolutions = {}  # this call's front ends, see _job_model
+    doomed: dict[int, dict] = {}  # index → the pre-flight's error outcome
+    if preflight:  # only a memoized doomed verdict keeps a job from running
+        for job in pending:
+            verdict = (_PREFLIGHT_MEMO.get(_preflight_key(job))
+                       if job.backend in SIMULATED_BACKENDS else None)
+            if verdict:
+                doomed[job.index] = {"status": "error", "error": verdict}
+        pending = [job for job in pending if job.index not in doomed]
+
+    checkpointed: set[int] = set()
+    cfgs: dict = {}  # the pre-flight's CFGs, see _preflight_verdict
+
+    def on_outcome(job: SweepJob, outcome: dict) -> None:
+        # A proven failure replaces a failed simulated job's outcome
+        # before anything journals or counts it.
+        if preflight and outcome.get("status") != "ok" \
+                and job.backend in SIMULATED_BACKENDS:
+            verdict = _preflight_verdict(job, models, cfgs)
+            if verdict is not None:
+                outcome = doomed[job.index] = {"status": "error",
+                                               "error": verdict}
+        if campaign is None:
+            return
+        status = outcome.get("status", "error")
+        if status not in TERMINAL_STATUSES:
+            status = "error"
+        # Persist the payload BEFORE journaling the success: a
+        # journaled "ok" must always be backed by a durable cache
+        # entry, whatever instant the campaign process dies at —
+        # otherwise a resume would have to re-run finished work.
+        if status == "ok" and cache is not None:
+            cache.put(key_of[job.index], _payload_of(outcome),
+                      meta={"point": job.describe()},
+                      into=cache_stats)
+            checkpointed.add(job.index)
+        campaign.record(key_of[job.index], status, outcome.get("error"))
+
     grid_note = ""
     if analytic_grid:
         analytic_pending = [job for job in pending
@@ -787,14 +789,6 @@ def run_jobs(jobs: Sequence[SweepJob],
                        if job.backend != "analytic"]
             grid_note = (f" + {len(analytic_pending)} analytic "
                          f"point(s) in {group_count} grid group(s)")
-
-    if preflight and pending:
-        pending, preflight_skips = _preflight(pending, models)
-        for index, message in preflight_skips.items():
-            outcomes[index] = {"status": "error", "error": message}
-        if preflight_skips:
-            grid_note += (f"; {len(preflight_skips)} job(s) skipped "
-                          "by static pre-flight")
 
     simulated_jobs = sum(1 for job in pending
                          if job.backend in SIMULATED_BACKENDS)
@@ -835,6 +829,15 @@ def run_jobs(jobs: Sequence[SweepJob],
                                          on_outcome, models)
         outcomes.update(zip((job.index for job in pending),
                             dispatched))
+    outcomes.update(doomed)
+    if doomed:
+        obs.counter("sweep_preflight_skips_total",
+                    "Simulated jobs failed with the pre-flight diagnostic "
+                    "because static analysis proved them doomed at their "
+                    "process count.").inc(len(doomed))
+        if progress is not None:
+            progress(f"sweep: {len(doomed)} job(s) skipped by static "
+                     "pre-flight")
 
     job_status = obs.counter(
         "sweep_jobs_total",
