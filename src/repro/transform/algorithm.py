@@ -31,6 +31,7 @@ that one IR with every consumer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import TransformError
@@ -84,6 +85,10 @@ ACTION_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
 #: builtins table.
 _GENERATED_NAMES = ("v", "ctx", "c_div", "c_mod", "_bi")
 
+#: Names the emitters number per loop, parallel region and fork arm:
+#: Python ``_i{n}``, ``_par{n}_body``, ``_fork{n}_arm``; C++ ``i{n}_``.
+_NUMBERED_NAMES = re.compile(r"_i\d+|_par\d+_body|_fork\d+_arm|i\d+_")
+
 #: Literal (non-expression) argument tags and their defaults.
 _LITERAL_DEFAULTS = {"tag": 0, "op": "sum", "lock": "default"}
 
@@ -122,10 +127,24 @@ class ModelIR:
     #: without a stereotype has no entry.
     actions: dict[int, ActionSpec] = field(default_factory=dict)
     regions: dict[str, SequenceRegion] = field(default_factory=dict)
+    #: Every name the generated code binds: intrinsics, the emitters'
+    #: own, the model's variables and cost functions, action instances.
+    names: set[str] = field(default_factory=set)
 
     @property
     def main_region(self) -> SequenceRegion:
         return self.regions[self.model.main_diagram_name]
+
+
+def claim_name(name: str, taken: set[str]) -> str:
+    """``name``, or the first ``name_<n>`` not in ``taken``, added to
+    ``taken``; a name the emitters number (a loop index, a helper) is
+    never handed out."""
+    if _NUMBERED_NAMES.fullmatch(name):
+        taken.add(name)
+    name = unique_name(name, taken)
+    taken.add(name)
+    return name
 
 
 def build_ir(model: Model) -> ModelIR:
@@ -140,15 +159,14 @@ def build_ir(model: Model) -> ModelIR:
     # structured nodes (activity+/loop+/parallel+) become nested code,
     # not objects, exactly as activity SA in Fig. 8 (lines 79-82).
     # An instance name never shadows a name the generated code reads.
-    taken = {*INTRINSICS, *_GENERATED_NAMES, *model.cost_functions,
-             *(variable.name for variable in model.variables)}
+    ir.names.update(INTRINSICS, _GENERATED_NAMES, model.cost_functions,
+                    (variable.name for variable in model.variables))
     for node in perf_elements:
         stereotype = performance_stereotype(node)
         if stereotype not in ACTION_TABLE:
             continue
-        instance = unique_name(
-            mangle_identifier(node.name, lower_first=True), taken)
-        taken.add(instance)
+        instance = claim_name(
+            mangle_identifier(node.name, lower_first=True), ir.names)
         ir.actions[node.id] = _resolve(node, stereotype, instance)
 
     # Flow (lines 29-35): structured region tree per diagram.  Every

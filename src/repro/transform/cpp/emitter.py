@@ -21,7 +21,7 @@ from repro.lang.cppgen import (
     function_to_cpp,
 )
 from repro.lang.parser import parse_expression
-from repro.transform.algorithm import ModelIR, as_ir
+from repro.transform.algorithm import ModelIR, as_ir, claim_name
 from repro.transform.cpp.runtime_header import RUNTIME_HEADER
 from repro.transform.flowgraph import (
     BranchRegion,
@@ -69,6 +69,7 @@ class _CppEmitter:
         self.w = CodeWriter()
         self._loop_counter = 0
         self._inline_stack: list[str] = []
+        self._names = set(ir.names)  # region objects take fresh names
 
     # -- top level -----------------------------------------------------------
 
@@ -235,7 +236,8 @@ class _CppEmitter:
 
     def _emit_parallel_node(self, node: ParallelRegionNode) -> None:
         self._check_inline_cycle(node.behavior, node.name)
-        instance = mangle_identifier(node.name, lower_first=True)
+        instance = claim_name(
+            mangle_identifier(node.name, lower_first=True), self._names)
         threads = expr_to_cpp(parse_expression(node.num_threads))
         self.w.writeln(f"// Parallel region {cpp_comment(node.name)} "
                        f"(diagram {cpp_comment(node.behavior)})")

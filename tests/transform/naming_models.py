@@ -78,12 +78,46 @@ def _one_action(action_name: str, *, global_name: str = "N",
     return builder.build()
 
 
+def _loop_and_action(action_name: str, *, inside: bool):
+    """A ``loop+`` node, with an action named ``action_name`` in its body
+    (``inside``) or after it."""
+    builder = ModelBuilder("Clash")
+    builder.global_var("N", "int", "3")
+    body = builder.diagram("Body")
+    main = builder.diagram("Main", main=True)
+    in_body = [body.action("Work", cost="0.25")]
+    after = []
+    if inside:
+        in_body.append(body.action(action_name, cost="0.25 * N"))
+    else:
+        after.append(main.action(action_name, cost="0.25 * N"))
+    body.sequence(*in_body)
+    main.sequence(main.loop("Rep", "Body", iterations="N"), *after)
+    return builder.build()
+
+
+def twin_regions_model():
+    """Two ``parallel+`` nodes named ``Crew`` in one diagram; their body
+    runs an action that is also named ``Crew``."""
+    builder = ModelBuilder("Twins")
+    team = builder.diagram("Team")
+    team.sequence(team.action("Crew", cost="0.001 * (tid + 1)"))
+    main = builder.diagram("Main", main=True)
+    main.sequence(main.parallel("Crew", "Team", num_threads="2"),
+                  main.parallel("Crew", "Team", num_threads="2"))
+    return builder.build()
+
+
 #: Valid models whose action's instance name was a name the generated
 #: code binds: the ``pid`` intrinsic, the process store ``v``, the
-#: runtime context ``ctx``, and a model local.
+#: runtime context ``ctx``, a model local, and a loop index of the
+#: Python (``_i1``, bound after the loop) and C++ (``i1_``, in the
+#: loop's scope) code.
 CLASH_MODELS = {
     "pid": lambda: _one_action("Pid"),
     "v": lambda: _one_action("V"),
     "ctx": lambda: _one_action("Ctx"),
     "local": lambda: _one_action("T", local_name="t"),
+    "loop-index": lambda: _loop_and_action("_i1", inside=False),
+    "cpp-loop-index": lambda: _loop_and_action("I1_", inside=True),
 }

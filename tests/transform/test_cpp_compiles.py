@@ -3,9 +3,9 @@
 The paper's artifact is the C++ text; a golden diff cannot tell whether
 it is a valid program.  Every model here is compiled against the
 runtime header: the built-ins, the every-kind model, the models whose
-names once broke the generated code, and a ``random_models`` corpus,
-half of it with forks and collectives.  Skipped, not failed, where no
-C++ compiler is on ``PATH``.
+names once broke the generated code (two parallel regions of one name
+among them), and a ``random_models`` corpus, half of it with forks and
+collectives.  Skipped, not failed, where no C++ compiler is on ``PATH``.
 """
 
 import shutil
@@ -17,7 +17,8 @@ import pytest
 from repro.transform.cpp.emitter import transform_to_cpp
 from repro.uml.random_models import RandomModelConfig, random_model
 from tests.transform.emitter_golden import full_models
-from tests.transform.naming_models import CLASH_MODELS, hostile_model
+from tests.transform.naming_models import (CLASH_MODELS, hostile_model,
+                                           twin_regions_model)
 
 CXX = shutil.which("g++")
 
@@ -31,6 +32,7 @@ def _models() -> dict:
     models["hostile"] = lambda: hostile_model(Path("marker"))
     models.update((f"clash:{kind}", build)
                   for kind, build in CLASH_MODELS.items())
+    models["twin-regions"] = twin_regions_model
     forked = RandomModelConfig(p_fork=0.2, p_collective=0.3)
     for seed in range(10):
         models[f"random:default:{seed}"] = (

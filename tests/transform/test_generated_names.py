@@ -123,4 +123,6 @@ class TestInstanceNamesNeverClash:
         assert instances == {"pid": ["pid_2", "after"],
                              "v": ["v_2", "after"],
                              "ctx": ["ctx_2", "after"],
-                             "local": ["t_2", "after"]}
+                             "local": ["t_2", "after"],
+                             "loop-index": ["work", "_i1_2"],
+                             "cpp-loop-index": ["work", "i1__2"]}
