@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.evaluator import INTRINSICS
-from repro.lang.parser import parse_expression, parse_program
+from repro.lang.parser import parse_expression
 from repro.lang.pygen import _render_with_filter, emit_stmt, py_comment
 from repro.transform.algorithm import ModelIR, as_ir
 from repro.transform.flowgraph import (
@@ -147,9 +147,8 @@ class _SkeletonEmitter:
 
     def _emit_region(self, region: Region) -> None:
         if isinstance(region, SequenceRegion):
-            if not region.items:
+            if all(map(self.ir.is_elided, region.items)):
                 self.w.writeln("pass")
-                return
             for item in region.items:
                 self._emit_region(item)
         elif isinstance(region, LeafRegion):
@@ -239,13 +238,13 @@ class _SkeletonEmitter:
     def _emit_action(self, node: ActionNode) -> None:
         w = self.w
         spec = self.ir.actions.get(node.id)
-        if node.code is not None:
+        if spec is None:
+            return  # not a performance element: the model never runs it
+        if spec.program is not None:
             w.writeln(f"# code associated with {py_comment(node.name)}")
             locals_ = set(self._bare)
-            for stmt in parse_program(node.code):
+            for stmt in spec.program:
                 emit_stmt(w, stmt, name_prefix="", declared_locals=locals_)
-        if spec is None:
-            return
         call = _COMM_CALLS.get(spec.kind,
                                f"compute_{spec.instance}(locals())")
         peer = self._render(spec.peer) if spec.peer is not None else None

@@ -39,7 +39,12 @@ from repro.lang.ast import Expr, Program
 from repro.lang.evaluator import INTRINSICS
 from repro.lang.parser import parse_expression, parse_program
 from repro.transform.collect import collect_performance_elements
-from repro.transform.flowgraph import FlowParser, SequenceRegion
+from repro.transform.flowgraph import (
+    FlowParser,
+    LeafRegion,
+    Region,
+    SequenceRegion,
+)
 from repro.uml.activities import (
     ActionNode,
     ActivityInvocationNode,
@@ -134,6 +139,14 @@ class ModelIR:
     @property
     def main_region(self) -> SequenceRegion:
         return self.regions[self.model.main_diagram_name]
+
+    def is_elided(self, region: Region) -> bool:
+        """Whether ``region`` is an action without a performance
+        stereotype: no backend runs it, so no emitter writes a statement
+        for it."""
+        return (isinstance(region, LeafRegion)
+                and isinstance(region.node, ActionNode)
+                and region.node.id not in self.actions)
 
 
 def claim_name(name: str, taken: set[str]) -> str:

@@ -194,9 +194,8 @@ class _PyEmitter:
     def _emit_region(self, region: Region,
                      fragment_locals: set[str]) -> None:
         if isinstance(region, SequenceRegion):
-            if not region.items:
+            if all(map(self.ir.is_elided, region.items)):
                 self.w.writeln("pass")
-                return
             for item in region.items:
                 self._emit_region(item, fragment_locals)
         elif isinstance(region, LeafRegion):

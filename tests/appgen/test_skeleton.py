@@ -4,7 +4,11 @@ import pytest
 
 from repro.appgen import LocalComm, generate_skeleton
 from repro.errors import ProphetError
+from repro.estimator.backends import evaluate_point
+from repro.machine.network import NetworkConfig
+from repro.machine.params import SystemParameters
 from repro.samples import build_kernel6_loopnest_model, build_sample_model
+from repro.uml.activities import ActionNode
 from repro.uml.builder import ModelBuilder
 
 
@@ -93,6 +97,53 @@ class TestCommSkeletons:
         assert "comm.send(" in artifacts.source
         assert "comm.recv(" in artifacts.source
         artifacts.compile().run(LocalComm())
+
+
+def _elided_setter_model(*, sole: bool):
+    """A stereotype-less action ``Set`` (code ``GV = 1;``) before a
+    ``GV == 1`` branch; with ``sole`` the else arm holds only another
+    stereotype-less action."""
+    builder = ModelBuilder("Elided")
+    builder.global_var("GV", "int", "0")
+    builder.global_var("ARM", "int", "0")
+    main = builder.diagram("Main", main=True)
+
+    def plain(name: str, code: str):
+        return main.diagram.add_node(
+            ActionNode(builder.next_id(), name, code=code))
+
+    initial, final = main.initial(), main.final()
+    decision, merge = main.decision(), main.merge()
+    hot = main.action("Hot", cost="1.0", code="ARM = 1;")
+    other = (plain("Quiet", "ARM = 3;") if sole
+             else main.action("Cold", cost="2.0", code="ARM = 2;"))
+    main.chain(initial, plain("Set", "GV = 1;"), decision)
+    main.branch(decision, merge, ("GV == 1", [hot]), ("else", [other]))
+    main.flow(merge, final)
+    return builder.build()
+
+
+def _predicted(model, backend: str) -> float:
+    return evaluate_point(model, backend, SystemParameters(processes=1),
+                          NetworkConfig(), 0)["predicted_time"]
+
+
+class TestNonPerformanceActions:
+    """An action without a performance stereotype never runs in the
+    model, so the skeleton must not run its code either."""
+
+    def test_skeleton_takes_the_models_arm(self):
+        model = _elided_setter_model(sole=False)
+        assert _predicted(model, "interp") == 2.0  # the else arm
+        state = generate_skeleton(model).compile().run(LocalComm())
+        assert (state["GV"], state["ARM"]) == (0, 2)
+
+    def test_arm_of_only_elided_actions_still_compiles(self):
+        model = _elided_setter_model(sole=True)
+        assert _predicted(model, "interp") == 0.0
+        assert _predicted(model, "codegen") == 0.0
+        state = generate_skeleton(model).compile().run(LocalComm())
+        assert (state["GV"], state["ARM"]) == (0, 0)
 
 
 class TestLocalComm:
