@@ -144,10 +144,9 @@ def evaluate_point(model: Model | ModelIR, backend: str,
 
     ``trace`` selects the recording tier for the simulated backends
     (:data:`repro.estimator.trace.TRACE_TIERS`).  ``predicted_time``
-    and ``events`` are byte-identical across tiers; ``trace_records``
-    is preserved by ``summary`` (counts, no allocation) and reported as
-    0 by ``off`` — which is why the sweep runner never writes ``off``
-    payloads to the shared result cache.
+    and ``events`` are byte-identical across tiers, and so is
+    ``trace_records``: ``summary`` keeps per-kind counts instead of the
+    records, so the two tiers share result-cache entries.
     """
     validate_backend(backend)
     validate_trace_tier(trace)

@@ -9,6 +9,8 @@ as in the generated C++.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from repro.errors import TransformError
 from repro.lang.ast import (
     Assign,
@@ -64,17 +66,19 @@ def py_comment(text: str) -> str:
     return text if text.isprintable() else repr(text)
 
 
-def expr_to_py(expr: Expr, *, name_prefix: str = "") -> str:
+def expr_to_py(expr: Expr, *, name_prefix: str = "",
+               bare: Collection[str] = ()) -> str:
     """Render an expression as Python source.
 
     ``name_prefix`` rewrites free variable references, e.g. prefix ``v.``
     turns ``GV`` into ``v.GV`` so generated code reads process-local
-    variable stores.
+    variable stores; a name in ``bare`` keeps no prefix.
     """
-    return _render(expr, 0, name_prefix)
+    return _render(expr, 0, name_prefix, bare)
 
 
-def _render(expr: Expr, parent_prec: int, prefix: str) -> str:
+def _render(expr: Expr, parent_prec: int, prefix: str,
+            bare: Collection[str]) -> str:
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, FloatLit):
@@ -84,14 +88,16 @@ def _render(expr: Expr, parent_prec: int, prefix: str) -> str:
     if isinstance(expr, StringLit):
         return repr(expr.value)
     if isinstance(expr, Name):
-        return f"{prefix}{expr.ident}" if prefix else expr.ident
+        return expr.ident if expr.ident in bare else prefix + expr.ident
     if isinstance(expr, Unary):
         if expr.op == "!":
-            inner = _render(expr.operand, _PY_PRECEDENCE["not"], prefix)
+            inner = _render(expr.operand, _PY_PRECEDENCE["not"], prefix,
+                            bare)
             text = f"not {inner}"
             prec = _PY_PRECEDENCE["not"]
         else:
-            inner = _render(expr.operand, _PY_PRECEDENCE["unary"], prefix)
+            inner = _render(expr.operand, _PY_PRECEDENCE["unary"], prefix,
+                            bare)
             text = f"{expr.op}{inner}"
             if expr.op == "-" and inner.startswith("-"):
                 text = f"{expr.op}({inner})"
@@ -99,41 +105,39 @@ def _render(expr: Expr, parent_prec: int, prefix: str) -> str:
         return text if parent_prec <= prec else f"({text})"
     if isinstance(expr, Binary):
         if expr.op == "/":
-            left = _render(expr.left, 0, prefix)
-            right = _render(expr.right, 0, prefix)
+            left = _render(expr.left, 0, prefix, bare)
+            right = _render(expr.right, 0, prefix, bare)
             return f"c_div({left}, {right})"
         if expr.op == "%":
-            left = _render(expr.left, 0, prefix)
-            right = _render(expr.right, 0, prefix)
+            left = _render(expr.left, 0, prefix, bare)
+            right = _render(expr.right, 0, prefix, bare)
             return f"c_mod({left}, {right})"
         op = _PY_OPS[expr.op]
         if op in ("and", "or"):
             # C's && and || yield 0/1; Python's and/or return operand
             # values (1 and 2 == 2).  bool() restores C semantics and is
             # atomic, so no outer parentheses are needed.
-            left = _render(expr.left, 0, prefix)
-            right = _render(expr.right, 0, prefix)
+            left = _render(expr.left, 0, prefix, bare)
+            right = _render(expr.right, 0, prefix, bare)
             return f"bool({left} {op} {right})"
         prec = _PY_PRECEDENCE[op if op in _PY_PRECEDENCE else expr.op]
         # Python chains comparison operators (a == b == c means a == b and
         # b == c), which C does not; parenthesize comparison operands of
         # comparisons by rendering both sides at a higher precedence.
         left_prec = prec + 1 if op in _COMPARISONS else prec
-        left = _render(expr.left, left_prec, prefix)
-        right = _render(expr.right, prec + 1, prefix)
+        left = _render(expr.left, left_prec, prefix, bare)
+        right = _render(expr.right, prec + 1, prefix, bare)
         text = f"{left} {op} {right}"
         return text if prec >= parent_prec else f"({text})"
     if isinstance(expr, Ternary):
-        cond = _render(expr.cond, 0, prefix)
-        then = _render(expr.then, 0, prefix)
-        other = _render(expr.other, 0, prefix)
+        cond = _render(expr.cond, 0, prefix, bare)
+        then = _render(expr.then, 0, prefix, bare)
+        other = _render(expr.other, 0, prefix, bare)
         return f"({then} if {cond} else {other})"
     if isinstance(expr, Call):
-        args = ", ".join(_render(a, 0, prefix) for a in expr.args)
+        args = ", ".join(_render(a, 0, prefix, bare) for a in expr.args)
         if expr.func in BUILTINS:
             return f"_bi[{expr.func!r}]({args})"
-        # User cost functions become methods on the generated model object;
-        # the emitter in transform.python wires `F.` as the function prefix.
         return f"{expr.func}({args})"
     raise TransformError(f"cannot emit Python for {type(expr).__name__}")
 
@@ -156,12 +160,12 @@ def emit_stmt(writer: CodeWriter, stmt: Stmt, *, name_prefix: str = "",
     if isinstance(stmt, VarDecl):
         locals_.add(stmt.name)
         if stmt.init is not None:
-            value = _render_local(stmt.init, prefix, locals_)
+            value = _render(stmt.init, 0, prefix, locals_)
         else:
             value = repr(default_value(stmt.type))
         writer.writeln(f"{stmt.name} = {value}")
     elif isinstance(stmt, Assign):
-        value = _render_local(stmt.value, prefix, locals_)
+        value = _render(stmt.value, 0, prefix, locals_)
         op = f"{stmt.op}=" if stmt.op else "="
         if stmt.op in ("/",):
             # Compound /= must keep C semantics: rewrite as full assignment.
@@ -170,9 +174,9 @@ def emit_stmt(writer: CodeWriter, stmt: Stmt, *, name_prefix: str = "",
         else:
             writer.writeln(f"{target(stmt.name)} {op} {value}")
     elif isinstance(stmt, ExprStmt):
-        writer.writeln(_render_local(stmt.expr, prefix, locals_))
+        writer.writeln(_render(stmt.expr, 0, prefix, locals_))
     elif isinstance(stmt, If):
-        writer.writeln(f"if {_render_local(stmt.cond, prefix, locals_)}:")
+        writer.writeln(f"if {_render(stmt.cond, 0, prefix, locals_)}:")
         writer.indent()
         _emit_body(writer, stmt.then_body, prefix, locals_)
         writer.dedent()
@@ -181,7 +185,7 @@ def emit_stmt(writer: CodeWriter, stmt: Stmt, *, name_prefix: str = "",
                and isinstance(current.else_body[0], If)):
             current = current.else_body[0]
             writer.writeln(
-                f"elif {_render_local(current.cond, prefix, locals_)}:")
+                f"elif {_render(current.cond, 0, prefix, locals_)}:")
             writer.indent()
             _emit_body(writer, current.then_body, prefix, locals_)
             writer.dedent()
@@ -191,7 +195,7 @@ def emit_stmt(writer: CodeWriter, stmt: Stmt, *, name_prefix: str = "",
             _emit_body(writer, current.else_body, prefix, locals_)
             writer.dedent()
     elif isinstance(stmt, While):
-        writer.writeln(f"while {_render_local(stmt.cond, prefix, locals_)}:")
+        writer.writeln(f"while {_render(stmt.cond, 0, prefix, locals_)}:")
         writer.indent()
         _emit_body(writer, stmt.body, prefix, locals_)
         writer.dedent()
@@ -199,7 +203,7 @@ def emit_stmt(writer: CodeWriter, stmt: Stmt, *, name_prefix: str = "",
         if stmt.init is not None:
             emit_stmt(writer, stmt.init, name_prefix=prefix,
                       declared_locals=locals_)
-        cond = (_render_local(stmt.cond, prefix, locals_)
+        cond = (_render(stmt.cond, 0, prefix, locals_)
                 if stmt.cond is not None else "True")
         writer.writeln(f"while {cond}:")
         writer.indent()
@@ -213,7 +217,7 @@ def emit_stmt(writer: CodeWriter, stmt: Stmt, *, name_prefix: str = "",
             writer.writeln("return None")
         else:
             writer.writeln(
-                f"return {_render_local(stmt.value, prefix, locals_)}")
+                f"return {_render(stmt.value, 0, prefix, locals_)}")
     else:
         raise TransformError(f"cannot emit Python for {type(stmt).__name__}")
 
@@ -225,71 +229,6 @@ def _emit_body(writer: CodeWriter, body, prefix: str,
         return
     for stmt in body:
         emit_stmt(writer, stmt, name_prefix=prefix, declared_locals=locals_)
-
-
-def _render_local(expr: Expr, prefix: str, locals_: set[str]) -> str:
-    """Render an expression, leaving names in ``locals_`` unprefixed."""
-    if not prefix:
-        return _render(expr, 0, "")
-    return _render_with_filter(expr, 0, prefix, locals_)
-
-
-def _render_with_filter(expr: Expr, parent_prec: int, prefix: str,
-                        locals_: set[str]) -> str:
-    # Same rendering as _render but consulting the local-name filter;
-    # implemented by temporary substitution of Name nodes.
-    if isinstance(expr, Name) and expr.ident in locals_:
-        return expr.ident
-    if isinstance(expr, Name):
-        return f"{prefix}{expr.ident}"
-    if isinstance(expr, (IntLit, FloatLit, BoolLit, StringLit)):
-        return _render(expr, parent_prec, prefix)
-    if isinstance(expr, Unary):
-        if expr.op == "!":
-            inner = _render_with_filter(expr.operand, _PY_PRECEDENCE["not"],
-                                        prefix, locals_)
-            text = f"not {inner}"
-            prec = _PY_PRECEDENCE["not"]
-        else:
-            inner = _render_with_filter(expr.operand, _PY_PRECEDENCE["unary"],
-                                        prefix, locals_)
-            text = f"{expr.op}{inner}"
-            if expr.op == "-" and inner.startswith("-"):
-                text = f"{expr.op}({inner})"
-            prec = _PY_PRECEDENCE["unary"]
-        return text if parent_prec <= prec else f"({text})"
-    if isinstance(expr, Binary):
-        if expr.op == "/":
-            left = _render_with_filter(expr.left, 0, prefix, locals_)
-            right = _render_with_filter(expr.right, 0, prefix, locals_)
-            return f"c_div({left}, {right})"
-        if expr.op == "%":
-            left = _render_with_filter(expr.left, 0, prefix, locals_)
-            right = _render_with_filter(expr.right, 0, prefix, locals_)
-            return f"c_mod({left}, {right})"
-        op = _PY_OPS[expr.op]
-        if op in ("and", "or"):
-            left = _render_with_filter(expr.left, 0, prefix, locals_)
-            right = _render_with_filter(expr.right, 0, prefix, locals_)
-            return f"bool({left} {op} {right})"
-        prec = _PY_PRECEDENCE[op if op in _PY_PRECEDENCE else expr.op]
-        left_prec = prec + 1 if op in _COMPARISONS else prec
-        left = _render_with_filter(expr.left, left_prec, prefix, locals_)
-        right = _render_with_filter(expr.right, prec + 1, prefix, locals_)
-        text = f"{left} {op} {right}"
-        return text if prec >= parent_prec else f"({text})"
-    if isinstance(expr, Ternary):
-        cond = _render_with_filter(expr.cond, 0, prefix, locals_)
-        then = _render_with_filter(expr.then, 0, prefix, locals_)
-        other = _render_with_filter(expr.other, 0, prefix, locals_)
-        return f"({then} if {cond} else {other})"
-    if isinstance(expr, Call):
-        args = ", ".join(_render_with_filter(a, 0, prefix, locals_)
-                         for a in expr.args)
-        if expr.func in BUILTINS:
-            return f"_bi[{expr.func!r}]({args})"
-        return f"{expr.func}({args})"
-    raise TransformError(f"cannot emit Python for {type(expr).__name__}")
 
 
 def stmts_to_py(stmts, *, name_prefix: str = "",

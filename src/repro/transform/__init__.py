@@ -4,6 +4,8 @@ Pipeline: :func:`~repro.transform.algorithm.build_ir` runs the collection
 pass (lines 1-8) and reconstructs structured control flow per diagram;
 backends then render the IR:
 
+* :mod:`repro.transform.walker` — the one walk over the region trees
+  that the text emitters below and the program skeleton share;
 * :mod:`repro.transform.cpp` — the C++ text of Fig. 8 (the PMP handed to
   the Performance Estimator in the paper's architecture);
 * :mod:`repro.transform.python` — an executable Python module targeting

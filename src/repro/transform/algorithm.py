@@ -31,7 +31,6 @@ that one IR with every consumer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.errors import TransformError
@@ -90,10 +89,6 @@ ACTION_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
 #: builtins table.
 _GENERATED_NAMES = ("v", "ctx", "c_div", "c_mod", "_bi")
 
-#: Names the emitters number per loop, parallel region and fork arm:
-#: Python ``_i{n}``, ``_par{n}_body``, ``_fork{n}_arm``; C++ ``i{n}_``.
-_NUMBERED_NAMES = re.compile(r"_i\d+|_par\d+_body|_fork\d+_arm|i\d+_")
-
 #: Literal (non-expression) argument tags and their defaults.
 _LITERAL_DEFAULTS = {"tag": 0, "op": "sum", "lock": "default"}
 
@@ -134,6 +129,7 @@ class ModelIR:
     regions: dict[str, SequenceRegion] = field(default_factory=dict)
     #: Every name the generated code binds: intrinsics, the emitters'
     #: own, the model's variables and cost functions, action instances.
+    #: The region walker numbers its names past these.
     names: set[str] = field(default_factory=set)
 
     @property
@@ -151,10 +147,7 @@ class ModelIR:
 
 def claim_name(name: str, taken: set[str]) -> str:
     """``name``, or the first ``name_<n>`` not in ``taken``, added to
-    ``taken``; a name the emitters number (a loop index, a helper) is
-    never handed out."""
-    if _NUMBERED_NAMES.fullmatch(name):
-        taken.add(name)
+    ``taken``."""
     name = unique_name(name, taken)
     taken.add(name)
     return name

@@ -19,31 +19,14 @@ from __future__ import annotations
 import types
 from dataclasses import dataclass
 
-from repro.errors import TransformError, UnsupportedElementError
 from repro.lang.evaluator import INTRINSICS
-from repro.lang.parser import parse_expression
-from repro.lang.pygen import _render_with_filter, emit_stmt, py_comment
-from repro.transform.algorithm import ModelIR, as_ir
-from repro.transform.flowgraph import (
-    BranchRegion,
-    CycleRegion,
-    ForkRegion,
-    LeafRegion,
-    Region,
-    SequenceRegion,
-)
-from repro.uml.activities import (
-    ActionNode,
-    ActivityInvocationNode,
-    ActivityNode,
-    LoopNode,
-    ParallelRegionNode,
-)
+from repro.lang.pygen import emit_stmt, py_comment
+from repro.transform.algorithm import ActionSpec, ModelIR, as_ir
+from repro.transform.flowgraph import CycleRegion, ForkRegion
+from repro.transform.walker import PyRegionWalker
+from repro.uml.activities import (ActionNode, ActivityInvocationNode, LoopNode,
+                                  ParallelRegionNode)
 from repro.uml.model import Model
-from repro.util.textwriter import CodeWriter
-
-#: Names that stay bare (not routed through the process store ``v``).
-INTRINSIC_NAMES = frozenset(INTRINSICS)
 
 
 @dataclass
@@ -62,34 +45,21 @@ class PyArtifacts:
              module.__dict__)
         return module
 
-    def entry(self):
-        """The compiled entry-point generator function."""
-        return getattr(self.compile(), self.entry_point)
-
 
 def transform_to_python(model_or_ir: Model | ModelIR) -> PyArtifacts:
     """Transform a model into its executable Python representation."""
     return _PyEmitter(as_ir(model_or_ir)).emit()
 
 
-class _PyEmitter:
+class _PyEmitter(PyRegionWalker):
+    PREFIX = "v."
+
     def __init__(self, ir: ModelIR) -> None:
-        self.ir = ir
-        self.w = CodeWriter()
-        self._loop_counter = 0
-        self._helper_counter = 0
-        self._inline_stack: list[str] = []
-        # Names that must never be prefixed with "v." in expressions:
-        # intrinsics, model locals, cost-function names, loop indices.
-        self._bare: set[str] = set(INTRINSIC_NAMES)
-        self._bare.update(v.name for v in ir.model.local_variables())
-        self._bare.update(ir.model.cost_functions)
-
-    # -- expression helpers ---------------------------------------------------
-
-    def _expr(self, source: str, extra_bare: set[str] | None = None) -> str:
-        bare = self._bare if extra_bare is None else self._bare | extra_bare
-        return _render_with_filter(parse_expression(source), 0, "v.", bare)
+        super().__init__(ir)
+        # Intrinsics, model locals and cost functions stay bare; action
+        # instances join once declared.
+        self.scope.update(INTRINSICS, ir.model.cost_functions,
+                          (v.name for v in ir.model.local_variables()))
 
     # -- top level -------------------------------------------------------------
 
@@ -121,8 +91,7 @@ class _PyEmitter:
             main_name = self.ir.model.main_diagram_name
             w.blank()
             w.writeln(f"# {py_comment(main_name)} activity")
-            self._emit_region(self.ir.regions[main_name],
-                              fragment_locals=set(self._bare))
+            self.walk(self.ir.regions[main_name])
         return PyArtifacts(source=w.text(), entry_point="pmp_main",
                            model_name=model.name)
 
@@ -136,17 +105,10 @@ class _PyEmitter:
         with w.block("def init_globals(v, c_div, c_mod, _bi):", None):
             w.writeln('"""Initialize one process\'s copy of the model '
                       'globals."""')
-            from repro.lang.types import default_value
-            emitted = False
-            for variable in self.ir.model.global_variables():
-                if variable.init is not None:
-                    w.writeln(f"v.{variable.name} = "
-                              f"{self._expr(variable.init)}")
-                else:
-                    w.writeln(f"v.{variable.name} = "
-                              f"{default_value(variable.type)!r}")
-                emitted = True
-            if not emitted:
+            globals_ = self.ir.model.global_variables()
+            for variable in globals_:
+                w.writeln(f"v.{variable.name} = {self.initial(variable)}")
+            if not globals_:
                 w.writeln("pass")
 
     def _emit_cost_functions(self) -> None:
@@ -160,7 +122,7 @@ class _PyEmitter:
             params = ", ".join(p.name for p in definition.params)
             with w.block(f"def {function.name}({params}):", None):
                 body_locals = ({p.name for p in definition.params}
-                               | self._bare)
+                               | self.scope)
                 for stmt in definition.body:
                     emit_stmt(w, stmt, name_prefix="v.",
                               declared_locals=body_locals)
@@ -173,12 +135,7 @@ class _PyEmitter:
         w.blank()
         w.writeln("# Locals")
         for variable in locals_:
-            if variable.init is not None:
-                w.writeln(f"{variable.name} = {self._expr(variable.init)}")
-            else:
-                from repro.lang.types import default_value
-                w.writeln(f"{variable.name} = "
-                          f"{default_value(variable.type)!r}")
+            w.writeln(f"{variable.name} = {self.initial(variable)}")
 
     def _emit_declarations(self) -> None:
         w = self.w
@@ -187,173 +144,56 @@ class _PyEmitter:
         for spec in self.ir.actions.values():
             w.writeln(f"{spec.instance} = ctx.new({spec.class_name!r}, "
                       f"{spec.node.name!r}, {spec.node.id})")
-            self._bare.add(spec.instance)
+            self.scope.add(spec.instance)
 
     # -- flow --------------------------------------------------------------------
 
-    def _emit_region(self, region: Region,
-                     fragment_locals: set[str]) -> None:
-        if isinstance(region, SequenceRegion):
-            if all(map(self.ir.is_elided, region.items)):
-                self.w.writeln("pass")
-            for item in region.items:
-                self._emit_region(item, fragment_locals)
-        elif isinstance(region, LeafRegion):
-            self._emit_leaf(region.node, fragment_locals)
-        elif isinstance(region, BranchRegion):
-            self._emit_branch(region, fragment_locals)
-        elif isinstance(region, ForkRegion):
-            self._emit_fork(region, fragment_locals)
-        elif isinstance(region, CycleRegion):
-            self._emit_cycle(region, fragment_locals)
-        else:  # pragma: no cover - defensive
-            raise TransformError(
-                f"unknown region type {type(region).__name__}")
-
-    def _emit_leaf(self, node: ActivityNode,
-                   fragment_locals: set[str]) -> None:
-        if isinstance(node, ActivityInvocationNode):
-            self._check_inline_cycle(node.behavior, node.name)
-            self.w.writeln(f"# Activity {py_comment(node.name)}")
-            self._inline_stack.append(node.behavior)
-            try:
-                self._emit_region(self.ir.regions[node.behavior],
-                                  fragment_locals)
-            finally:
-                self._inline_stack.pop()
-            return
-        if isinstance(node, LoopNode):
-            self._emit_loop_node(node, fragment_locals)
-            return
-        if isinstance(node, ParallelRegionNode):
-            self._emit_parallel_node(node, fragment_locals)
-            return
-        if isinstance(node, ActionNode):
-            self._emit_action(node, fragment_locals)
-            return
-        raise UnsupportedElementError(
-            f"no Python mapping for node class {type(node).__name__} "
-            f"({node.name!r})")
-
-    def _emit_action(self, node: ActionNode,
-                     fragment_locals: set[str]) -> None:
-        spec = self.ir.actions.get(node.id)
-        if spec is None:
-            self.w.writeln(f"# (non-performance element {node.name!r} "
-                           "elided)")
-            return
-        if spec.program is not None:
-            self.w.writeln(f"# code associated with {py_comment(node.name)}")
-            for stmt in spec.program:
-                emit_stmt(self.w, stmt, name_prefix="v.",
-                          declared_locals=fragment_locals)
-        bare = self._bare | fragment_locals
-        args = "".join(f", {_py_arg(arg, bare)}" for arg in spec.args)
+    def action(self, spec: ActionSpec) -> None:
+        self.fragment(spec)
+        args = "".join(f", {self.arg(arg)}" for arg in spec.args)
         self.w.writeln(
             f"yield from {spec.instance}.execute(uid, pid, tid{args})")
 
-    def _emit_loop_node(self, node: LoopNode,
-                        fragment_locals: set[str]) -> None:
-        self._check_inline_cycle(node.behavior, node.name)
-        self._loop_counter += 1
-        index = f"_i{self._loop_counter}"
-        iterations = self._expr(node.iterations, fragment_locals)
+    def elided(self, node: ActionNode) -> None:
+        self.w.writeln(f"# (non-performance element {node.name!r} elided)")
+
+    def activity(self, node: ActivityInvocationNode) -> None:
+        self.w.writeln(f"# Activity {py_comment(node.name)}")
+        self.inline(node)
+
+    def loop(self, node: LoopNode) -> None:
         self.w.writeln(f"# Loop {py_comment(node.name)} over diagram "
                        f"{py_comment(node.behavior)}")
-        with self.w.block(f"for {index} in range(int({iterations})):",
-                          None):
-            self._inline_stack.append(node.behavior)
-            try:
-                self._emit_region(self.ir.regions[node.behavior],
-                                  fragment_locals)
-            finally:
-                self._inline_stack.pop()
+        super().loop(node)
 
-    def _emit_parallel_node(self, node: ParallelRegionNode,
-                            fragment_locals: set[str]) -> None:
-        self._check_inline_cycle(node.behavior, node.name)
-        self._helper_counter += 1
-        helper = f"_par{self._helper_counter}_body"
-        threads = self._expr(node.num_threads, fragment_locals)
+    def parallel(self, node: ParallelRegionNode) -> None:
+        helper = self.fresh("_par{}_body", "helper")
+        threads = self.expr(node.num_threads)
         self.w.writeln(f"# Parallel region {py_comment(node.name)} "
                        f"(diagram {py_comment(node.behavior)})")
-        with self.w.block(f"def {helper}(ctx, uid, pid, tid):", None):
-            self.w.writeln("yield from ()  # generator marker")
-            self._inline_stack.append(node.behavior)
-            try:
-                self._emit_region(self.ir.regions[node.behavior],
-                                  set(fragment_locals))
-            finally:
-                self._inline_stack.pop()
+        self._generator(helper, self.inline, node)
         self.w.writeln(
             f"yield from ctx.parallel_region({node.name!r}, {node.id}, "
             f"int({threads}), {helper})")
 
-    def _check_inline_cycle(self, behavior: str, node_name: str) -> None:
-        if behavior in self._inline_stack:
-            raise TransformError(
-                f"recursive diagram invocation of {behavior!r} via "
-                f"{node_name!r}")
-
-    def _emit_branch(self, region: BranchRegion,
-                     fragment_locals: set[str]) -> None:
-        w = self.w
-        first_guard, first_arm = region.arms[0]
-        w.writeln(f"if {self._expr(first_guard, fragment_locals)}:")
-        w.indent()
-        self._emit_region(first_arm, fragment_locals)
-        w.dedent()
-        for guard, arm in region.arms[1:]:
-            w.writeln(f"elif {self._expr(guard, fragment_locals)}:")
-            w.indent()
-            self._emit_region(arm, fragment_locals)
-            w.dedent()
-        if region.else_arm is not None:
-            w.writeln("else:")
-            w.indent()
-            self._emit_region(region.else_arm, fragment_locals)
-            w.dedent()
-
-    def _emit_fork(self, region: ForkRegion,
-                   fragment_locals: set[str]) -> None:
-        w = self.w
-        arm_names = []
+    def fork(self, region: ForkRegion) -> None:
+        helpers = []
         for arm in region.arms:
-            self._helper_counter += 1
-            helper = f"_fork{self._helper_counter}_arm"
-            arm_names.append(helper)
-            with w.block(f"def {helper}(ctx, uid, pid, tid):", None):
-                w.writeln("yield from ()  # generator marker")
-                self._emit_region(arm, set(fragment_locals))
-        w.writeln(
+            helpers.append(self.fresh("_fork{}_arm", "helper"))
+            self._generator(helpers[-1], self.walk, arm)
+        self.w.writeln(
             f"yield from ctx.fork_join({region.fork.name!r}, "
-            f"{region.fork.id}, [{', '.join(arm_names)}])")
+            f"{region.fork.id}, [{', '.join(helpers)}])")
 
-    def _emit_cycle(self, region: CycleRegion,
-                    fragment_locals: set[str]) -> None:
-        w = self.w
-        w.writeln(f"# Loop (header {py_comment(region.header.name)})")
-        with w.block("while True:", None):
-            self._emit_region(region.pre, fragment_locals)
-            if region.break_condition is not None:
-                condition = self._expr(region.break_condition,
-                                       fragment_locals)
-            else:
-                condition = ("not (" +
-                             self._expr(region.negated_stay_guard,
-                                        fragment_locals) + ")")
-            w.writeln(f"if {condition}:")
-            w.indent()
-            w.writeln("break")
-            w.dedent()
-            self._emit_region(region.post, fragment_locals)
+    def _generator(self, name: str, write, item) -> None:
+        """``def name(ctx, uid, pid, tid):``, a generator whose body
+        ``write(item)`` writes in a copy of the current scope."""
+        outer, self.scope = self.scope, set(self.scope)
+        with self.w.block(f"def {name}(ctx, uid, pid, tid):"):
+            self.w.writeln("yield from ()  # generator marker")
+            write(item)
+        self.scope = outer
 
-
-def _py_arg(arg, bare: set[str]) -> str:
-    """One ``execute()`` argument: an expression, a tag number, an
-    ``op``/``lock`` string, or None for a missing cost."""
-    if arg is None:
-        return "0.0"
-    if isinstance(arg, (int, str)):
-        return repr(arg)
-    return _render_with_filter(arg, 0, "v.", bare)
+    def cycle(self, region: CycleRegion) -> None:
+        self.w.writeln(f"# Loop (header {py_comment(region.header.name)})")
+        super().cycle(region)

@@ -1,23 +1,12 @@
 """Indentation-aware code writer used by all code emitters.
 
-The C++ and Python backends of the transformation (S8 in DESIGN.md) share
-this writer: it tracks the current indentation level, numbers lines on
-demand (the paper's Fig. 8 discusses the generated C++ *by line number*,
-so tests reference numbered output), and supports labelled sections so the
-emitters can assert the section order the Fig. 5 algorithm prescribes
-(globals, cost functions, locals, declarations, flow).
+The C++ and Python emitters and the program skeleton share this writer:
+it tracks the current indentation level and numbers lines on demand (the
+paper's Fig. 8 discusses the generated C++ *by line number*, so tests
+reference numbered output).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-@dataclass
-class _Section:
-    name: str
-    first_line: int
-    last_line: int
 
 
 class CodeWriter:
@@ -27,8 +16,6 @@ class CodeWriter:
         self._indent_unit = indent_unit
         self._level = 0
         self._lines: list[str] = []
-        self._sections: list[_Section] = []
-        self._open_sections: list[_Section] = []
 
     # -- writing ----------------------------------------------------------
 
@@ -58,10 +45,6 @@ class CodeWriter:
             raise ValueError("cannot dedent below level 0")
         self._level -= 1
 
-    @property
-    def level(self) -> int:
-        return self._level
-
     class _Block:
         def __init__(self, writer: "CodeWriter", open_line: str | None,
                      close_line: str | None) -> None:
@@ -89,30 +72,6 @@ class CodeWriter:
         ``with w.block("if x:"):`` produces a Python suite.
         """
         return CodeWriter._Block(self, open_line, close_line)
-
-    # -- sections ---------------------------------------------------------
-
-    def begin_section(self, name: str) -> None:
-        """Open a named section starting at the next line written."""
-        self._open_sections.append(_Section(name, len(self._lines) + 1, -1))
-
-    def end_section(self) -> None:
-        if not self._open_sections:
-            raise ValueError("no open section")
-        section = self._open_sections.pop()
-        section.last_line = len(self._lines)
-        self._sections.append(section)
-
-    def section_span(self, name: str) -> tuple[int, int]:
-        """1-based (first, last) line numbers of the last closed section ``name``."""
-        for section in reversed(self._sections):
-            if section.name == name:
-                return (section.first_line, section.last_line)
-        raise KeyError(f"no section named {name!r}")
-
-    def section_order(self) -> list[str]:
-        """Names of closed sections in order of their first line."""
-        return [s.name for s in sorted(self._sections, key=lambda s: s.first_line)]
 
     # -- output -----------------------------------------------------------
 

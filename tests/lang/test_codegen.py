@@ -155,6 +155,10 @@ class TestPyExpressions:
     def test_name_prefixing(self):
         assert expr_to_py(parse_expression("GV + 1"), name_prefix="v.") == "v.GV + 1"
 
+    def test_bare_names_keep_no_prefix(self):
+        assert expr_to_py(parse_expression("GV + t * F(t)"), name_prefix="v.",
+                          bare={"t"}) == "v.GV + t * F(t)"
+
     def test_builtin_call(self):
         text = expr_to_py(parse_expression("sqrt(x)"))
         assert text == "_bi['sqrt'](x)"

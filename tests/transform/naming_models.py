@@ -108,11 +108,26 @@ def twin_regions_model():
     return builder.build()
 
 
-#: Valid models whose action's instance name was a name the generated
-#: code binds: the ``pid`` intrinsic, the process store ``v``, the
-#: runtime context ``ctx``, a model local, and a loop index of the
-#: Python (``_i1``, bound after the loop) and C++ (``i1_``, in the
-#: loop's scope) code.
+def _loop_reads(variable: str, *, local: bool):
+    """A local or global ``variable`` of 5, read by the body of a
+    ``loop+`` of 2 iterations and by an action after the loop."""
+    builder = ModelBuilder("Clash")
+    declare = builder.local_var if local else builder.global_var
+    declare(variable, "int", "5")
+    body = builder.diagram("Body")
+    body.sequence(body.action("Work", cost=f"0.25 * {variable}"))
+    main = builder.diagram("Main", main=True)
+    main.sequence(main.loop("Rep", "Body", iterations="2"),
+                  main.action("After", cost=f"1.0 * {variable}"))
+    return builder.build()
+
+
+#: Valid models with a name the generated code also binds: an action's
+#: instance name is the ``pid`` intrinsic, the process store ``v``, the
+#: runtime context ``ctx``, a model local, or the first loop index of
+#: the Python (``_i1``, bound after the loop) or C++ (``i1_``, in the
+#: loop's scope) code; or a model local is the Python loop index ``_i1``
+#: and a global the C++ one, ``i1_``.
 CLASH_MODELS = {
     "pid": lambda: _one_action("Pid"),
     "v": lambda: _one_action("V"),
@@ -120,4 +135,6 @@ CLASH_MODELS = {
     "local": lambda: _one_action("T", local_name="t"),
     "loop-index": lambda: _loop_and_action("_i1", inside=False),
     "cpp-loop-index": lambda: _loop_and_action("I1_", inside=True),
+    "local-loop-index": lambda: _loop_reads("_i1", local=True),
+    "global-cpp-loop-index": lambda: _loop_reads("i1_", local=False),
 }

@@ -2,9 +2,13 @@
 
 Model text that the emitters write as comments or string literals is
 escaped, so no name can become code; names they write as identifiers
-(variables, cost functions, parameters) must be identifiers; and an
-action's instance name never shadows a name the generated code binds.
+(variables, cost functions, parameters) must be identifiers; an
+action's instance name never shadows a name the generated code binds;
+and no name the generated code numbers (a loop index, a helper, a
+region object) is a model name.
 """
+
+import re
 
 import pytest
 
@@ -22,8 +26,10 @@ from repro.transform.python.emitter import transform_to_python
 from repro.uml.builder import ModelBuilder
 from repro.xmlio.reader import model_from_xml
 from repro.xmlio.writer import model_to_xml
+from tests.transform.emitter_golden import every_kind_model
 from tests.transform.naming_models import (CLASH_MODELS, hostile_model,
-                                           named_payload_model)
+                                           named_payload_model,
+                                           twin_regions_model)
 
 MACHINES = (SystemParameters(), SystemParameters(nodes=2, processes=2))
 PAYLOAD_MODELS = {"hostile": hostile_model, "named": named_payload_model}
@@ -124,5 +130,46 @@ class TestInstanceNamesNeverClash:
                              "v": ["v_2", "after"],
                              "ctx": ["ctx_2", "after"],
                              "local": ["t_2", "after"],
-                             "loop-index": ["work", "_i1_2"],
-                             "cpp-loop-index": ["work", "i1__2"]}
+                             "loop-index": ["work", "_i1"],
+                             "cpp-loop-index": ["work", "i1_"],
+                             "local-loop-index": ["work", "after"],
+                             "global-cpp-loop-index": ["work", "after"]}
+
+
+#: Per target, where its text binds a name it numbers: C++ loop indices
+#: and region objects, Python loop indices and helpers, skeleton loop
+#: indices.
+NUMBERED_NAMES = {
+    "cpp": re.compile(r"for \(int (\w+) = 0;|ParallelRegion (\w+)\("),
+    "python": re.compile(r"for (\w+) in range\(int\("
+                         r"|def (\w+)\(ctx, uid, pid, tid\):"),
+    "skeleton": re.compile(r"for (\w+) in range\(int\("),
+}
+
+#: Models whose generated code numbers names.
+NUMBERING_MODELS = {
+    **{kind: CLASH_MODELS[kind]
+       for kind in ("loop-index", "cpp-loop-index", "local-loop-index",
+                    "global-cpp-loop-index")},
+    "twin-regions": twin_regions_model,
+    "every-kind": every_kind_model,
+}
+
+
+class TestNumberedNamesNeverClash:
+    @pytest.mark.parametrize("kind", sorted(NUMBERING_MODELS))
+    def test_no_numbered_name_is_a_model_name(self, kind):
+        model = NUMBERING_MODELS[kind]()
+        ir = build_ir(model)
+        model_names = ({variable.name for variable in model.variables}
+                       | set(model.cost_functions)
+                       | {spec.instance for spec in ir.actions.values()})
+        texts = {"cpp": transform_to_cpp(ir).source,
+                 "python": transform_to_python(ir).source,
+                 "skeleton": generate_skeleton(ir).source}
+        numbered = {target: {name for match in pattern.finditer(texts[target])
+                             for name in match.groups() if name}
+                    for target, pattern in NUMBERED_NAMES.items()}
+        assert numbered["cpp"] and numbered["python"], numbered
+        for target, names in numbered.items():
+            assert not names & model_names, (target, names & model_names)

@@ -130,27 +130,6 @@ class TestCodeWriter:
             writer.writeln("pass")
         assert writer.lines == ["def f():", "    pass"]
 
-    def test_sections(self):
-        writer = CodeWriter()
-        writer.begin_section("globals")
-        writer.writeln("int GV;")
-        writer.writeln("int P;")
-        writer.end_section()
-        writer.begin_section("functions")
-        writer.writeln("double F() { return 1.0; }")
-        writer.end_section()
-        assert writer.section_span("globals") == (1, 2)
-        assert writer.section_span("functions") == (3, 3)
-        assert writer.section_order() == ["globals", "functions"]
-
-    def test_unknown_section_raises(self):
-        with pytest.raises(KeyError):
-            CodeWriter().section_span("ghost")
-
-    def test_unbalanced_section_raises(self):
-        with pytest.raises(ValueError):
-            CodeWriter().end_section()
-
     def test_numbered_output_fig8_style(self):
         writer = CodeWriter()
         writer.writeln("int GV;")
