@@ -154,8 +154,6 @@ class TestPyExpressions:
 
     def test_name_prefixing(self):
         assert expr_to_py(parse_expression("GV + 1"), name_prefix="v.") == "v.GV + 1"
-
-    def test_bare_names_keep_no_prefix(self):
         assert expr_to_py(parse_expression("GV + t * F(t)"), name_prefix="v.",
                           bare={"t"}) == "v.GV + t * F(t)"
 
