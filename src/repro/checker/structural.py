@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
-import networkx as nx
-
 from repro.checker.diagnostics import Diagnostic, Severity
 from repro.checker.rules import CheckContext, Rule, register
 from repro.uml.activities import (
@@ -27,6 +25,7 @@ from repro.uml.activities import (
     MergeNode,
     ParallelRegionNode,
 )
+from repro.util.graphs import descendants, find_cycle, reverse
 
 
 @register
@@ -209,12 +208,10 @@ class CanReachFinalRule(Rule):
             finals = diagram.final_nodes()
             if not finals:
                 continue
-            # A reversed *view* suffices for reachability; reverse()'s
-            # default deep copy dominated cold model-validation time.
-            graph = diagram.to_networkx().reverse(copy=False)
+            pred = reverse(diagram.successor_map())
             coreachable: set[int] = set()
             for final in finals:
-                coreachable |= {final.id} | nx.descendants(graph, final.id)
+                coreachable |= {final.id} | descendants(pred, final.id)
             for node in diagram.nodes:
                 if node.id not in coreachable:
                     yield self.diag(
@@ -286,7 +283,7 @@ class BehaviorResolvesRule(Rule):
 
     def check(self, ctx: CheckContext) -> Iterator[Diagnostic]:
         model = ctx.model
-        references: list[tuple[str, str, int]] = []
+        calls: dict[str, list[str]] = {d.name: [] for d in model.diagrams}
         for diagram in model.diagrams:
             for node in diagram.nodes:
                 behavior = getattr(node, "behavior", None)
@@ -298,13 +295,9 @@ class BehaviorResolvesRule(Rule):
                         f"{behavior!r}",
                         element_id=node.id, diagram=diagram.name)
                 else:
-                    references.append((diagram.name, behavior, node.id))
-        graph = nx.DiGraph()
-        graph.add_nodes_from(d.name for d in model.diagrams)
-        graph.add_edges_from((a, b) for a, b, _ in references)
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
+                    calls[diagram.name].append(behavior)
+        cycle = find_cycle(calls)
+        if cycle is None:
             return
         path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
         yield self.diag(f"recursive behavior reference: {path}")

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import UnstructuredFlowError
 from repro.uml.activities import (
     ActivityFinalNode,
@@ -37,6 +35,7 @@ from repro.uml.activities import (
     MergeNode,
 )
 from repro.uml.diagram import ActivityDiagram
+from repro.util.graphs import immediate_dominators, reverse
 
 _VIRTUAL_EXIT = -1  # node id of the synthetic exit in dominator analyses
 
@@ -130,28 +129,19 @@ class FlowParser:
     def __init__(self, diagram: ActivityDiagram) -> None:
         self.diagram = diagram
         self.initial = diagram.initial_node()
-        self._graph = self._simple_graph(diagram)
+        self._succ = diagram.successor_map()
         self._back_edges = self._find_back_edges()
         self._loop_bodies = self._natural_loops()
         self._postdom = self._post_dominators()
 
     # -- graph precomputation ------------------------------------------------
 
-    @staticmethod
-    def _simple_graph(diagram: ActivityDiagram) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        for node in diagram.nodes:
-            graph.add_node(node.id)
-        for edge in diagram.edges:
-            graph.add_edge(edge.source.id, edge.target.id)
-        return graph
-
     def _find_back_edges(self) -> set[tuple[int, int]]:
         """DFS back edges reachable from the initial node."""
         back: set[tuple[int, int]] = set()
         color: dict[int, int] = {}  # 0 unseen / 1 on stack / 2 done
         stack: list[tuple[int, list[int]]] = [
-            (self.initial.id, list(self._graph.successors(self.initial.id)))]
+            (self.initial.id, list(self._succ[self.initial.id]))]
         color[self.initial.id] = 1
         while stack:
             node, successors = stack[-1]
@@ -162,8 +152,7 @@ class FlowParser:
                     back.add((node, nxt))
                 elif state == 0:
                     color[nxt] = 1
-                    stack.append(
-                        (nxt, list(self._graph.successors(nxt))))
+                    stack.append((nxt, list(self._succ[nxt])))
             else:
                 color[node] = 2
                 stack.pop()
@@ -172,17 +161,17 @@ class FlowParser:
     def _natural_loops(self) -> dict[int, set[int]]:
         """header id → loop body node ids (header included)."""
         bodies: dict[int, set[int]] = {}
-        reversed_graph = self._graph.reverse(copy=False)
+        pred = reverse(self._succ)
         for source, header in self._back_edges:
             body = {header, source}
             # Nodes that reach `source` without passing through `header`.
             stack = [source]
             while stack:
                 node = stack.pop()
-                for pred in reversed_graph.successors(node):
-                    if pred not in body and pred != header:
-                        body.add(pred)
-                        stack.append(pred)
+                for prev in pred[node]:
+                    if prev not in body and prev != header:
+                        body.add(prev)
+                        stack.append(prev)
             bodies.setdefault(header, set()).update(body)
         return bodies
 
@@ -191,26 +180,18 @@ class FlowParser:
         reversed graph from a virtual exit joined to all final nodes.
         Back edges are removed first so loops do not hide the join points
         of branches inside them."""
-        acyclic = nx.DiGraph(self._graph)
-        acyclic.remove_edges_from(self._back_edges)
-        reversed_graph = acyclic.reverse()
-        reversed_graph.add_node(_VIRTUAL_EXIT)
-        for node in self.diagram.nodes:
-            if isinstance(node, ActivityFinalNode):
-                reversed_graph.add_edge(_VIRTUAL_EXIT, node.id)
-            # Loop exit decisions post-dominate through their exit edge
-            # only; the removed back edges already ensure acyclicity.
-        if not any(isinstance(n, ActivityFinalNode)
-                   for n in self.diagram.nodes):
+        reversed_graph = reverse(
+            {node: [t for t in targets if (node, t) not in self._back_edges]
+             for node, targets in self._succ.items()})
+        # Loop exit decisions post-dominate through their exit edge only;
+        # the removed back edges already ensure acyclicity.
+        reversed_graph[_VIRTUAL_EXIT] = [
+            node.id for node in self.diagram.nodes
+            if isinstance(node, ActivityFinalNode)]
+        if not reversed_graph[_VIRTUAL_EXIT]:
             raise UnstructuredFlowError(
                 f"diagram {self.diagram.name!r} has no final node")
-        try:
-            idom = nx.immediate_dominators(reversed_graph, _VIRTUAL_EXIT)
-        except nx.NetworkXError as exc:  # pragma: no cover - defensive
-            raise UnstructuredFlowError(
-                f"diagram {self.diagram.name!r}: post-dominator "
-                f"computation failed: {exc}") from exc
-        return idom
+        return immediate_dominators(reversed_graph, _VIRTUAL_EXIT)
 
     # -- public API ---------------------------------------------------------
 

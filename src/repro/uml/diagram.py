@@ -2,15 +2,13 @@
 
 A diagram owns its nodes and edges (the model tree of Fig. 5's caption:
 model → diagrams → elements).  Graph-structural queries (reachability,
-initial/final nodes, networkx export) live here; semantic checks live in
+initial/final nodes, successor maps) live here; semantic checks live in
 :mod:`repro.checker`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-import networkx as nx
 
 from repro.errors import DiagramError
 from repro.uml.activities import (
@@ -20,6 +18,7 @@ from repro.uml.activities import (
     InitialNode,
 )
 from repro.uml.element import NamedElement
+from repro.util.graphs import descendants
 
 
 class ActivityDiagram(NamedElement):
@@ -112,12 +111,21 @@ class ActivityDiagram(NamedElement):
                 "expected exactly 1")
         return initials[0]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
+    def successor_map(self) -> dict[int, list[int]]:
+        """Node id → the ids of its successors, each once, in edge order."""
+        succ: dict[int, dict[int, None]] = {node: {} for node in self._nodes}
+        for edge in self._edges.values():
+            succ[edge.source.id][edge.target.id] = None
+        return {node: list(targets) for node, targets in succ.items()}
+
+    def to_networkx(self) -> "networkx.MultiDiGraph":
         """Graph view keyed by node id; edge data carries the edge object.
 
         A MultiDiGraph because two nodes may be connected by several guarded
-        edges (decision with two branches to the same merge).
+        edges (decision with two branches to the same merge).  Needs the
+        ``networkx`` package, which nothing else in the program loads.
         """
+        import networkx as nx
         graph = nx.MultiDiGraph(name=self.name)
         for node in self._nodes.values():
             graph.add_node(node.id, element=node)
@@ -131,8 +139,8 @@ class ActivityDiagram(NamedElement):
         initials = self.initial_nodes()
         if not initials:
             return set()
-        graph = self.to_networkx()
+        succ = self.successor_map()
         reachable: set[int] = set()
         for initial in initials:
-            reachable |= {initial.id} | nx.descendants(graph, initial.id)
+            reachable |= {initial.id} | descendants(succ, initial.id)
         return reachable

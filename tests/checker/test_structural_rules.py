@@ -281,7 +281,8 @@ class TestForksAndBehaviors:
             diagram.add_edge(ControlFlow(base + 3, initial, inv))
             diagram.add_edge(ControlFlow(base + 4, inv, final))
         hits = rule_hits(model, "behavior-resolves")
-        assert any("recursive" in d.message for d in hits)
+        assert [d.message for d in hits] == [
+            "recursive behavior reference: A -> B -> A"]
 
     def test_duplicate_perf_element_names_warning(self):
         builder = ModelBuilder("M")
