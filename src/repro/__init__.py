@@ -14,25 +14,22 @@ Entry points:
 * :func:`repro.estimator.estimate` — one-shot evaluation;
 * :mod:`repro.samples` — the paper's sample and kernel-6 models;
 * :mod:`repro.sweep` — batch what-if experiments with result caching.
+
+The names below load on first use, so importing one subpackage loads
+only what it needs.
 """
 
-from repro.errors import ProphetError
-from repro.prophet import PerformanceProphet
-from repro.estimator.manager import estimate
-from repro.machine.network import NetworkConfig
-from repro.machine.params import SystemParameters
-from repro.sweep import ResultCache, SweepSpec, make_spec, run_sweep
-from repro.uml.builder import ModelBuilder
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "PerformanceProphet",
-    "ModelBuilder",
-    "SystemParameters",
-    "NetworkConfig",
-    "estimate",
-    "SweepSpec", "make_spec", "run_sweep", "ResultCache",
-    "ProphetError",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.prophet": ("PerformanceProphet",),
+    "repro.uml.builder": ("ModelBuilder",),
+    "repro.machine.params": ("SystemParameters",),
+    "repro.machine.network": ("NetworkConfig",),
+    "repro.estimator.manager": ("estimate",),
+    "repro.sweep": ("SweepSpec", "make_spec", "run_sweep", "ResultCache"),
+    "repro.errors": ("ProphetError",),
+})
+__all__.append("__version__")

@@ -16,18 +16,17 @@ dataflow passes run over it (:mod:`repro.analysis.comm`,
 machine-readable result — an :class:`~repro.analysis.report.AnalysisReport`
 keyed by structural hash — feeds the registry (ingest gate), the sweep
 runner (pre-flight), the CLI (``prophet lint``), and ``/metrics``.
+
+The names below load on first use: the analytic backend imports
+:mod:`repro.analysis.facts` alone, without the analyzer and its rules.
 """
 
-from repro.analysis.analyzer import (ModelAnalyzer, analysis_cache_stats,
-                                     analyze_model)
-from repro.analysis.report import AnalysisReport
-from repro.analysis.rules import ANALYSIS_RULES, analysis_rule_ids
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ANALYSIS_RULES",
-    "AnalysisReport",
-    "ModelAnalyzer",
-    "analysis_cache_stats",
-    "analysis_rule_ids",
-    "analyze_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.analyzer": (
+        "ModelAnalyzer", "analysis_cache_stats", "analyze_model",
+    ),
+    "repro.analysis.report": ("AnalysisReport",),
+    "repro.analysis.rules": ("ANALYSIS_RULES", "analysis_rule_ids"),
+})

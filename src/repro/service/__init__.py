@@ -48,57 +48,34 @@ Quickstart (in-process)::
 Or over HTTP: ``prophet serve --registry registry-dir`` in one shell,
 ``prophet submit --url http://127.0.0.1:8350 --sample kernel6
 --backends analytic,codegen --processes 1,2,4,8`` in another.
+
+The names below load on first use, so a replica loads no router, fleet
+launcher or client.
 """
 
-from repro.service.admission import (
-    AdmissionQueue,
-    AdmissionRejected,
-    ClientRateLimiter,
-    DrainingError,
-    QueueFullError,
-    RateLimitedError,
-    RequestGateway,
-    TokenBucket,
-)
-from repro.service.batcher import BatchPlan, BatchWindow, plan_batch
-from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.fleet import Fleet
-from repro.service.httpd import (
-    RequestTimeoutError,
-    ServiceHTTPServer,
-    make_server,
-)
-from repro.service.router import (
-    RouterError,
-    ShardMap,
-    ShardRouter,
-    make_router_server,
-)
-from repro.service.registry import (
-    ModelRecord,
-    ModelRegistry,
-    RegistryError,
-)
-from repro.service.request import (
-    EvaluationRequest,
-    RequestError,
-    request_from_payload,
-    requests_from_payload,
-)
-from repro.service.service import BatchResponse, EvaluationService
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue", "AdmissionRejected",
-    "BatchPlan", "BatchResponse", "BatchWindow",
-    "ClientRateLimiter", "DrainingError",
-    "EvaluationRequest", "EvaluationService", "Fleet",
-    "ModelRecord", "ModelRegistry",
-    "QueueFullError", "RateLimitedError",
-    "RegistryError", "RequestError", "RequestGateway",
-    "RequestTimeoutError", "RouterError",
-    "ServiceClient", "ServiceClientError", "ServiceHTTPServer",
-    "ShardMap", "ShardRouter",
-    "TokenBucket",
-    "make_router_server", "make_server", "plan_batch",
-    "request_from_payload", "requests_from_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.admission": (
+        "AdmissionQueue", "AdmissionRejected", "ClientRateLimiter",
+        "DrainingError", "QueueFullError", "RateLimitedError",
+        "RequestGateway", "TokenBucket",
+    ),
+    "repro.service.batcher": ("BatchPlan", "BatchWindow", "plan_batch"),
+    "repro.service.client": ("ServiceClient", "ServiceClientError"),
+    "repro.service.fleet": ("Fleet",),
+    "repro.service.httpd": (
+        "RequestTimeoutError", "ServiceHTTPServer", "make_server",
+    ),
+    "repro.service.router": (
+        "RouterError", "ShardMap", "ShardRouter", "make_router_server",
+    ),
+    "repro.service.registry": (
+        "ModelRecord", "ModelRegistry", "RegistryError",
+    ),
+    "repro.service.request": (
+        "EvaluationRequest", "RequestError", "request_from_payload",
+        "requests_from_payload",
+    ),
+    "repro.service.service": ("BatchResponse", "EvaluationService"),
+})

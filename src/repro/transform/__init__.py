@@ -12,14 +12,16 @@ backends then render the IR:
   the simulation runtime (this reproduction's evaluable backend);
 * :mod:`repro.transform.interp` — direct tree interpretation, the slow
   baseline that motivates transformation in the first place.
+
+The names below load on first use, so a backend that imports the IR
+loads no emitter it does not run.
 """
 
-from repro.transform.algorithm import ModelIR, build_ir
-from repro.transform.collect import collect_performance_elements
-from repro.transform.cpp.emitter import transform_to_cpp
-from repro.transform.python.emitter import transform_to_python
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ModelIR", "build_ir", "collect_performance_elements",
-    "transform_to_cpp", "transform_to_python",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.transform.algorithm": ("ModelIR", "build_ir"),
+    "repro.transform.collect": ("collect_performance_elements",),
+    "repro.transform.cpp.emitter": ("transform_to_cpp",),
+    "repro.transform.python.emitter": ("transform_to_python",),
+})
