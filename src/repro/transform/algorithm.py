@@ -65,7 +65,7 @@ from repro.uml.perf_profile import (
     SEND_PLUS,
     performance_stereotype,
 )
-from repro.util.ids import mangle_identifier, unique_name
+from repro.util.ids import GENERATED_NAMES, mangle_identifier, unique_name
 
 #: Action stereotype → (trace-record kind, runtime class shared by C++
 #: and Python, the tags its ``execute()`` arguments come from in call
@@ -83,11 +83,6 @@ ACTION_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
     REDUCE_PLUS: ("reduce", "MpiReduce", ("root", "size", "op")),
     ALLREDUCE_PLUS: ("allreduce", "MpiAllreduce", ("size", "op")),
 }
-
-#: Names the generated code binds besides the model's own: the Python
-#: module's process store, runtime context, C division helpers and
-#: builtins table.
-_GENERATED_NAMES = ("v", "ctx", "c_div", "c_mod", "_bi")
 
 #: Literal (non-expression) argument tags and their defaults.
 _LITERAL_DEFAULTS = {"tag": 0, "op": "sum", "lock": "default"}
@@ -165,7 +160,8 @@ def build_ir(model: Model) -> ModelIR:
     # structured nodes (activity+/loop+/parallel+) become nested code,
     # not objects, exactly as activity SA in Fig. 8 (lines 79-82).
     # An instance name never shadows a name the generated code reads.
-    ir.names.update(INTRINSICS, _GENERATED_NAMES, model.cost_functions,
+    ir.names.update(INTRINSICS, *GENERATED_NAMES.values(),
+                    model.cost_functions,
                     (variable.name for variable in model.variables))
     for node in perf_elements:
         stereotype = performance_stereotype(node)

@@ -17,15 +17,21 @@ from repro.lang.parser import parse_expression, parse_function_body
 from repro.lang.types import Type
 from repro.uml.diagram import ActivityDiagram
 from repro.uml.element import Element, NamedElement
-from repro.util.ids import is_valid_identifier
+from repro.util.ids import GENERATED_NAMES, is_valid_identifier
 
 
 def _check_identifier(what: str, name: str) -> None:
-    """Generated code binds this name as is, in C++ and in Python."""
+    """Generated code binds this name as is, in C++ and in Python, in the
+    scope where it binds its own names."""
     if not is_valid_identifier(name):
         raise ModelError(
             f"{what} {name!r} is not an identifier (ASCII letters, digits "
             "and underscores, not a C++ or Python keyword)")
+    for target, names in GENERATED_NAMES.items():
+        if name in names:
+            raise ModelError(
+                f"{what} {name!r} is a name the generated {target} binds "
+                "for itself")
 
 
 @dataclass

@@ -30,6 +30,17 @@ _CPP_KEYWORDS = frozenset(
     """.split()
 )
 
+#: Per target, as messages name it, the names its generated text binds
+#: beside the model's own: the Python module's process store, runtime
+#: context, C division helpers and builtins table, which share
+#: ``pmp_main`` with model locals and cost-function parameters, and the
+#: skeleton's communicator, which shares ``run()`` with every model
+#: variable.  A model name that is one of them would shadow the binding.
+GENERATED_NAMES: dict[str, frozenset[str]] = {
+    "Python module": frozenset({"v", "ctx", "c_div", "c_mod", "_bi"}),
+    "skeleton": frozenset({"comm"}),
+}
+
 
 class IdGenerator:
     """Deterministic source of unique integer ids.

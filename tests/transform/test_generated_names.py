@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from repro.appgen import LocalComm
 from repro.appgen.skeleton import generate_skeleton
 from repro.checker import ModelChecker
 from repro.errors import ModelError, XmlFormatError
@@ -24,6 +25,7 @@ from repro.transform.algorithm import build_ir
 from repro.transform.cpp.emitter import transform_to_cpp
 from repro.transform.python.emitter import transform_to_python
 from repro.uml.builder import ModelBuilder
+from repro.util.ids import GENERATED_NAMES
 from repro.xmlio.reader import model_from_xml
 from repro.xmlio.writer import model_to_xml
 from tests.transform.emitter_golden import every_kind_model
@@ -113,6 +115,82 @@ class TestIdentifierNames:
         assert original in text
         with pytest.raises(XmlFormatError):
             model_from_xml(text.replace(original, hostile, 1))
+
+
+#: Every name a target's generated text binds for itself, with the target.
+GENERATED = sorted((target, name) for target, names in GENERATED_NAMES.items()
+                   for name in names)
+
+
+def cost_probe(local: str):
+    """A local read in a cost.  Named ``v``, ``ctx`` or ``c_div``, it
+    used to give 2.7 on interp while codegen raised."""
+    builder = ModelBuilder("Probe")
+    builder.global_var("N", "int", "3")
+    builder.local_var(local, "int", "4")
+    main = builder.diagram("Main", main=True)
+    main.sequence(main.action(
+        "Work", cost=f"0.1 * {local} * N + 0.5 * (7 / 2)"))
+    return builder.build()
+
+
+def barrier_probe(variable: str):
+    """A global beside a ``barrier+``.  Named ``comm``, it used to
+    replace the skeleton's communicator before ``comm.barrier()``."""
+    builder = ModelBuilder("Probe")
+    builder.global_var(variable, "int", "3")
+    main = builder.diagram("Main", main=True)
+    main.sequence(main.barrier("Sync"))
+    return builder.build()
+
+
+def function_probe(function: str, parameter: str):
+    builder = ModelBuilder("Probe")
+    builder.cost_function(function, f"0.5 * {parameter}", f"double {parameter}")
+    main = builder.diagram("Main", main=True)
+    main.sequence(main.action("Work", cost=f"{function}(2.0)"))
+    return builder.build()
+
+
+class TestGeneratedNamesRefused:
+    """No variable, cost function or parameter takes a name that a
+    target's text binds in the same scope (``GENERATED_NAMES``): the
+    builder and the XML reader refuse it and say which target binds it."""
+
+    def test_the_probes_are_valid_under_other_names(self):
+        assert evaluate_point(cost_probe("w"), "codegen", SystemParameters(),
+                              NetworkConfig(), 0)["predicted_time"] == \
+            pytest.approx(2.7)
+        assert_interp_equals_codegen(cost_probe("w"))
+        assert_interp_equals_codegen(function_probe("FW", "q"))
+        generate_skeleton(barrier_probe("w")).compile().run(LocalComm())
+
+    @pytest.mark.parametrize("target,name", GENERATED)
+    def test_builder_refuses(self, target, name):
+        message = f"is a name the generated {target} binds"
+        with pytest.raises(ModelError, match=message):
+            cost_probe(name)
+        with pytest.raises(ModelError, match=message):
+            barrier_probe(name)
+        with pytest.raises(ModelError, match=message):
+            function_probe(name, "q")
+        with pytest.raises(ModelError, match=message):
+            function_probe("FW", name)
+
+    @pytest.mark.parametrize("target,name", GENERATED)
+    def test_reader_refuses(self, target, name):
+        cases = [(cost_probe("w"), 'name="w"', 'name="{}"'),
+                 (barrier_probe("w"), 'name="w"', 'name="{}"'),
+                 (function_probe("FW", "q"), 'name="FW"', 'name="{}"'),
+                 (function_probe("FW", "q"), 'params="double q"',
+                  'params="double {}"')]
+        for model, original, hostile in cases:
+            text = model_to_xml(model)
+            assert original in text
+            with pytest.raises(XmlFormatError,
+                               match=f"is a name the generated {target}"):
+                model_from_xml(text.replace(original, hostile.format(name),
+                                            1))
 
 
 class TestInstanceNamesNeverClash:
