@@ -41,10 +41,6 @@ exist behind one walker:
   the scalar replay of each point — which is what lets
   :func:`repro.estimator.backends.evaluate_grid` promise byte-identical
   payloads.
-
-When NumPy is unavailable the vector runtime is skipped and every point
-falls back to tight-loop scalar replay (still plan-compiled, still
-byte-identical).
 """
 
 from __future__ import annotations
@@ -52,6 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as _np
 
 from repro.analysis.facts import rank_dependence
 from repro.errors import EstimatorError, TransformError
@@ -84,11 +82,6 @@ from repro.uml.activities import (
     ParallelRegionNode,
 )
 from repro.uml.model import Model
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover — the toolchain ships numpy
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -650,7 +643,7 @@ class AnalyticPlan:
                 by_network.setdefault(points[position].network,
                                       []).append(position)
             networks = list(by_network)
-            if _np is not None and len(networks) > 1:
+            if len(networks) > 1:
                 spans = self._vector_makespans(params, networks,
                                                override_map)
             else:

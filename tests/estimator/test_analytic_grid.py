@@ -175,22 +175,6 @@ class TestRankInvariance:
             pytest.approx(3 * one[0]["predicted_time"])
 
 
-class TestNoNumpyFallback:
-    def test_scalar_replay_matches_when_numpy_is_gated(self,
-                                                       monkeypatch):
-        import repro.estimator.analytic_plan as plan_module
-        model = build_sample_model()
-        points = machine_grid(processes=(2,), networks=NETWORKS)
-        clear_plan_cache()
-        vectorized = evaluate_grid(model, points)
-        monkeypatch.setattr(plan_module, "_np", None)
-        clear_plan_cache()
-        scalar = evaluate_grid(model, points)
-        assert canonical_json(vectorized) == canonical_json(scalar)
-        assert canonical_json(scalar) == \
-            canonical_json(per_point_payloads(model, points))
-
-
 class TestRunnerGridDispatch:
     """The sweep runner's grid path vs classic per-point dispatch:
     identical tables, identical cache entries."""
