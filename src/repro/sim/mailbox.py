@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.sim.core import Event, Simulation
-from repro.sim.stats import Table
 
 
 class Mailbox:
@@ -22,8 +21,6 @@ class Mailbox:
         self._recv_name = name + ".recv"  # shared by all blocked receives
         self._messages: list[Any] = []
         self._receivers: list[tuple[Callable[[Any], bool] | None, Event]] = []
-        self.delivered = 0
-        self.wait_times = Table(f"{name}.wait")
 
     def send(self, message) -> None:
         """Deposit a message; wakes the first matching blocked receiver.
@@ -34,7 +31,6 @@ class Mailbox:
         for index, (predicate, event) in enumerate(self._receivers):
             if predicate is None or predicate(message):
                 del self._receivers[index]
-                self.delivered += 1
                 event.fire(message)
                 return
         self._messages.append(message)
@@ -48,14 +44,10 @@ class Mailbox:
         for index, message in enumerate(self._messages):
             if match is None or match(message):
                 del self._messages[index]
-                self.delivered += 1
-                self.wait_times.record(0.0)
                 return message
         event = Event(self.sim, self._recv_name)
         self._receivers.append((match, event))
-        arrived_at = self.sim.now
         yield event  # raw-Event wait (see sim.core command encoding)
-        self.wait_times.record(self.sim.now - arrived_at)
         return event.payload
 
     def peek_count(self) -> int:
