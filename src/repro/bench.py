@@ -108,14 +108,14 @@ def _cold_sweep_spec(models):
                      backends=["codegen", "interp"], seeds=[0])
 
 
-def _cold_sweep(models, trace: str, executor="serial", max_workers=None):
+def _cold_sweep(models, executor="serial", max_workers=None):
     """One cold 3-scenario sweep; returns (wall_s, total events)."""
     from repro.sweep import run_sweep
     spec = _cold_sweep_spec(models)
     _clear_memos()
     start = time.perf_counter()
     result = run_sweep(spec, cache=None, executor=executor,
-                       max_workers=max_workers, trace=trace)
+                       max_workers=max_workers)
     wall = time.perf_counter() - start
     failed = [r for r in result if r.status != "ok"]
     if failed:
@@ -154,12 +154,12 @@ def _analytic_grid_sweep(smoke: bool, analytic_grid: bool):
 
 
 def _instrumented_cold_sweep(models):
-    """The summary-tier cold sweep with the full observability harness
-    on (hot-path detail gate + an active span profiler)."""
+    """The cold sweep with the full observability harness on (hot-path
+    detail gate + an active span profiler)."""
     from repro import obs
     obs.global_registry().reset()
     with obs.detail(), obs.profiling():
-        return _cold_sweep(models, trace="summary")
+        return _cold_sweep(models)
 
 
 def _estimate_tier(model, trace: str, repeats: int):
@@ -197,20 +197,15 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
     benchmarks: dict[str, dict] = {}
 
     # 1. The headline number: a cold sweep (no result cache, no memos)
-    #    over three scenarios on both simulated backends — full-trace
-    #    recording vs the sweep default, summary.
-    full_wall, events = _best(
-        lambda: _cold_sweep(models, trace="full"), repeats)
-    summary_wall, _ = _best(
-        lambda: _cold_sweep(models, trace="summary"), repeats)
+    #    over three scenarios on both simulated backends, recording at
+    #    the sweep's summary tier.
+    summary_wall, events = _best(lambda: _cold_sweep(models), repeats)
     entry = {
         "description": "cold 3-scenario sweep, serial, codegen+interp, "
                        "processes 2 and 4",
         "events": events,
-        "wall_s_full": round(full_wall, 4),
         "wall_s_summary": round(summary_wall, 4),
         "events_per_s_summary": round(events / summary_wall),
-        "speedup_summary_vs_full": round(full_wall / summary_wall, 3),
     }
     reference = PRE_PR_REFERENCE.get(
         "cold_sweep_3scenario_full_trace_wall_s")
@@ -248,13 +243,12 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
             1 for job in expand(_cold_sweep_spec(models))
             if job.backend in SIMULATED_BACKENDS)
         pool_wall, _ = _best(
-            lambda: _cold_sweep(models, trace="summary",
-                                executor="process", max_workers=2),
+            lambda: _cold_sweep(models, executor="process",
+                                max_workers=2),
             max(1, repeats - 1))
         forced_wall, _ = _best(
             lambda: _cold_sweep(
-                models, trace="summary",
-                executor=ProcessPoolExecutor(max_workers=2)),
+                models, executor=ProcessPoolExecutor(max_workers=2)),
             max(1, repeats - 1))
         benchmarks["cold_sweep_3scenario_pool2"] = {
             "description": "same sweep requested on the process pool, "
@@ -305,7 +299,7 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
             "analytic grid-vs-per-point identity broke: the grid path "
             "produced a different result table than evaluate_point")
 
-    # 5. Observability overhead: the same summary-tier cold sweep with
+    # 5. Observability overhead: the same cold sweep with
     #    the full harness on (detail + profiler) vs off.  The ratio is
     #    a hard contract — over budget raises — so it needs a
     #    noise-proof estimator, not the timing-only benchmarks'
@@ -324,7 +318,7 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
     #    attempt.  Rounds per side are calibrated to ~2 s of measured
     #    work so the smoke workload (one ~50 ms sweep) gets the sample
     #    depth its noise level needs.
-    calibration_wall, _ = _cold_sweep(models, trace="summary")
+    calibration_wall, _ = _cold_sweep(models)
     overhead_rounds = min(
         50, max(8, repeats, math.ceil(2.0 / max(calibration_wall, 0.04))))
     overhead_attempts = 0
@@ -338,11 +332,9 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
             if i % 2:
                 instrumented_walls.append(
                     _instrumented_cold_sweep(models)[0])
-                plain_walls.append(
-                    _cold_sweep(models, trace="summary")[0])
+                plain_walls.append(_cold_sweep(models)[0])
             else:
-                plain_walls.append(
-                    _cold_sweep(models, trace="summary")[0])
+                plain_walls.append(_cold_sweep(models)[0])
                 instrumented_walls.append(
                     _instrumented_cold_sweep(models)[0])
         ratio = min(instrumented_walls) / min(plain_walls)
@@ -392,15 +384,13 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
         from repro.sweep import ProcessPoolExecutor, RetryPolicy
 
         def _unarmed_pool():
-            return _cold_sweep(models, trace="summary",
-                               executor=ProcessPoolExecutor(
-                                   max_workers=2))
+            return _cold_sweep(models, executor=ProcessPoolExecutor(
+                max_workers=2))
 
         def _armed_pool():
-            return _cold_sweep(models, trace="summary",
-                               executor=ProcessPoolExecutor(
-                                   max_workers=2, job_timeout=300.0,
-                                   policy=RetryPolicy(max_retries=2)))
+            return _cold_sweep(models, executor=ProcessPoolExecutor(
+                max_workers=2, job_timeout=300.0,
+                policy=RetryPolicy(max_retries=2)))
 
         chaos_calibration, _ = _unarmed_pool()
         chaos_rounds = min(

@@ -176,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8350)
-    serve.add_argument("--trace-tier", choices=("full", "summary"),
-                       default="full",
-                       help="recording tier for served evaluations "
-                            "(default full, so service-written cache "
-                            "entries match `prophet sweep`'s)")
     serve.add_argument("--persistent-pool", action="store_true",
                        help="keep one process pool alive across batches "
                             "(workers fetch unseen models lazily and "
@@ -405,11 +400,6 @@ def _add_sweep_axis_args(sub: argparse.ArgumentParser) -> None:
                           "byte-identical either way; per-point "
                           "analytic work still never counts toward "
                           "the pool floor)")
-    sub.add_argument("--trace-tier", choices=("full", "summary"),
-                     default="summary",
-                     help="estimator recording tier for simulated "
-                          "backends (default summary: identical "
-                          "results, per-kind counts only)")
     sub.add_argument("--job-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-job wall-clock deadline on pool "
@@ -685,7 +675,6 @@ def _run_sweep_from_args(args, progress=print):
     executor = "process" if args.jobs > 0 else "serial"
     return run_sweep(spec, cache=cache, executor=executor,
                      max_workers=args.jobs or None, progress=progress,
-                     trace=args.trace_tier,
                      analytic_grid=not args.no_analytic_grid,
                      campaign=campaign)
 
@@ -803,7 +792,6 @@ def build_service_server(args):
         args.registry, cache=args.cache_dir,
         executor=executor,
         max_workers=args.jobs or None,
-        trace=args.trace_tier,
         job_timeout=getattr(args, "job_timeout", None),
         max_retries=getattr(args, "max_retries", 0),
         instance_id=getattr(args, "replica_id", None),

@@ -43,7 +43,7 @@ from repro import obs
 from repro.errors import EstimatorError
 from repro.estimator.analytic_plan import AnalyticPlan, GridPoint
 from repro.estimator.manager import PerformanceEstimator, PreparedModel
-from repro.estimator.trace import TRACE_TIERS, validate_trace_tier
+from repro.estimator.trace import validate_trace_tier
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
 from repro.transform.algorithm import ModelIR, model_of
@@ -127,7 +127,7 @@ def evaluate_point(model: Model | ModelIR, backend: str,
                    seed: int = 0,
                    check: bool = True,
                    model_hash: str | None = None,
-                   trace: str = "full") -> dict:
+                   trace: str = "summary") -> dict:
     """Evaluate one (model, machine, backend, seed) point.
 
     Returns a deterministic, JSON-serializable payload::
@@ -146,7 +146,8 @@ def evaluate_point(model: Model | ModelIR, backend: str,
     (:data:`repro.estimator.trace.TRACE_TIERS`).  ``predicted_time``
     and ``events`` are byte-identical across tiers, and so is
     ``trace_records``: ``summary`` keeps per-kind counts instead of the
-    records, so the two tiers share result-cache entries.
+    records, so the two tiers share result-cache entries.  The payload
+    shows counts only, so the default is ``summary``.
     """
     validate_backend(backend)
     validate_trace_tier(trace)

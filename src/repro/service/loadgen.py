@@ -63,12 +63,12 @@ class SlowExecutor:
     def __init__(self, delay_s: float) -> None:
         self.delay_s = delay_s
 
-    def run(self, jobs, trace: str = "full"):
+    def run(self, jobs):
         from repro.sweep.runner import SerialExecutor
         if not jobs:
             return []
         time.sleep(self.delay_s)
-        return SerialExecutor().run(jobs, trace=trace)
+        return SerialExecutor().run(jobs)
 
 
 def percentile(samples: list[float], q: float) -> float:

@@ -29,7 +29,6 @@ from repro import obs
 from repro.analysis import analysis_cache_stats
 from repro.estimator.backends import (plan_cache_stats,
                                       prepared_cache_stats)
-from repro.estimator.trace import validate_trace_tier
 from repro.service.batcher import plan_batch
 from repro.service.registry import ModelRecord, ModelRegistry
 from repro.service.request import EvaluationRequest
@@ -63,7 +62,6 @@ class EvaluationService:
                  cache: ResultCache | str | Path | None = None,
                  executor: str = "serial",
                  max_workers: int | None = None,
-                 trace: str = "full",
                  analytic_grid: bool = True,
                  serialize_batches: bool = False,
                  job_timeout: float | None = None,
@@ -87,11 +85,6 @@ class EvaluationService:
         # have not seen and memoize them for every later batch).
         self.executor = executor
         self.max_workers = max_workers
-        # The recording tier jobs run at.  Serving keeps the sweep
-        # payload contract either way; "full" stays the default because
-        # cache entries written by a service should be indistinguishable
-        # from `prophet sweep`'s.
-        self.trace = validate_trace_tier(trace)
         # Analytic requests run through the grid-compiled plan path by
         # default (byte-identical payloads; a kill switch for A/B
         # comparison and debugging).
@@ -165,7 +158,6 @@ class EvaluationService:
         sweep_result = run_jobs(plan.jobs, cache=self.cache,
                                 executor=self.executor,
                                 max_workers=self.max_workers,
-                                trace=self.trace,
                                 analytic_grid=self.analytic_grid,
                                 dispatch_lock=self._dispatch_lock,
                                 cache_stats=delta,
@@ -238,7 +230,6 @@ class EvaluationService:
             "cache_hits": delta.hits,
             "cache_misses": delta.misses,
             "executor": self.executor_name,
-            "trace": self.trace,
         }
         return BatchResponse(results=results, stats=stats)
 
@@ -306,7 +297,6 @@ class EvaluationService:
             "analytic_plans": (plan_cache_stats()
                                if self.analytic_grid else None),
             "executor": self.executor_name,
-            "trace": self.trace,
             # Static-analysis verdicts per stored model (warnings show
             # up here; errors never make it into the registry) plus the
             # in-process report memo.

@@ -176,7 +176,7 @@ class ResilientDispatcher:
     ``acquire`` returns a ready executor pool; ``recycle(pool)``
     irrevocably disposes of one (terminate workers + discard) — the
     dispatcher re-acquires lazily.  ``execute`` is the picklable
-    worker entry point (``(job, trace) -> outcome dict``).
+    worker entry point (``job -> outcome dict``).
     """
 
     def __init__(self, *, acquire: Callable[[], object],
@@ -185,7 +185,6 @@ class ResilientDispatcher:
                  workers: int,
                  job_timeout: float | None = None,
                  policy: RetryPolicy | None = None,
-                 trace: str = "summary",
                  on_outcome: Callable[[SweepJob, dict], None]
                  | None = None) -> None:
         self._acquire = acquire
@@ -194,7 +193,6 @@ class ResilientDispatcher:
         self.workers = max(1, workers)
         self.job_timeout = job_timeout
         self.policy = policy or RetryPolicy()
-        self.trace = trace
         self._on_outcome = on_outcome
         self._rng = random.Random(self.policy.seed)
         self._pool = None
@@ -295,7 +293,7 @@ class ResilientDispatcher:
                 return  # the futures in flight will show the break
             ready.popleft()
             if future is None:
-                self._finalize(state, self._execute(state.job, self.trace))
+                self._finalize(state, self._execute(state.job))
             else:
                 state.deadline = math.inf
                 inflight[future] = state
@@ -309,8 +307,7 @@ class ResilientDispatcher:
         for _ in range(2 if may_recycle else 1):
             pool = self._ensure_pool()
             try:
-                return pool.submit(self._execute, state.payload(),
-                                   self.trace)
+                return pool.submit(self._execute, state.payload())
             except Exception:  # noqa: BLE001 — broken/shut-down pool
                 if may_recycle:
                     self._recycle()

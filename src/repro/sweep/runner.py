@@ -40,9 +40,9 @@ across calls (pool workers, the persistent pool, a service's batches),
 and the prepared-model memo in :mod:`repro.estimator.backends`
 likewise amortizes the transform.
 
-``trace`` selects the estimator's recording tier for the simulated
-backends (default ``"summary"`` — identical payloads to ``"full"``,
-none of the per-record allocation).
+Every point records at the estimator's ``summary`` tier: a sweep
+returns counts only, and those are identical to the ``full`` tier's
+without its per-record allocation.
 
 Analytic jobs take a different road entirely: cache misses are grouped
 by structural hash and dispatched through the grid-compiled plan path
@@ -74,7 +74,6 @@ from repro.estimator.backends import (
     evaluate_point,
 )
 from repro.estimator.analytic_plan import GridPoint
-from repro.estimator.trace import validate_trace_tier
 from repro.sweep.cache import CacheStats, ResultCache
 from repro.sweep.campaign import TERMINAL_STATUSES, Campaign, \
     campaign_fingerprint
@@ -175,8 +174,7 @@ def _job_model(job: SweepJob, models: Resolutions) -> ModelIR | None:
     return resolved
 
 
-def execute_job(job: SweepJob, trace: str = "full",
-                models: Resolutions | None = None) -> dict:
+def execute_job(job: SweepJob, models: Resolutions | None = None) -> dict:
     """Evaluate one point; never raises.
 
     Returns ``{"status": "ok", ...payload}``, ``{"status": "error",
@@ -199,7 +197,7 @@ def execute_job(job: SweepJob, trace: str = "full",
                     "model_hash": job.model_hash}
         payload = evaluate_point(
             ir, job.backend, job.params, job.network, job.seed,
-            check=False, model_hash=job.model_hash, trace=trace)
+            check=False, model_hash=job.model_hash)
         return {"status": "ok", **payload}
     except (faults.TransientFault, MemoryError) as exc:
         return {"status": "transient",
@@ -303,8 +301,7 @@ def pool_dispatch(executor: str | object, simulated_jobs: int):
     return executor
 
 
-def _run_analytic_grid(jobs: Sequence[SweepJob], trace: str,
-                       models: Resolutions
+def _run_analytic_grid(jobs: Sequence[SweepJob], models: Resolutions
                        ) -> tuple[dict[int, dict], int]:
     """Evaluate analytic cache misses through the compiled grid path.
 
@@ -333,7 +330,7 @@ def _run_analytic_grid(jobs: Sequence[SweepJob], trace: str,
                                      model_hash=model_hash)
         except Exception:  # noqa: BLE001 — per-job capture by design
             for job in group:
-                outcomes[job.index] = execute_job(job, trace, models)
+                outcomes[job.index] = execute_job(job, models)
             continue
         for job, payload in zip(group, payloads):
             outcomes[job.index] = {"status": "ok", **payload}
@@ -366,14 +363,13 @@ class SerialExecutor:
         self.fault_plan = fault_plan
         self._rng = None
 
-    def _run_one(self, job: SweepJob, trace: str,
-                 models: Resolutions | None) -> dict:
+    def _run_one(self, job: SweepJob, models: Resolutions | None) -> dict:
         if self._rng is None:
             self._rng = random.Random(self.policy.seed)
         attempts = 0
         while True:
             attempts += 1
-            outcome = execute_job(job, trace, models)
+            outcome = execute_job(job, models)
             if outcome.get("status") != "transient":
                 break
             if attempts > self.policy.max_retries:
@@ -389,7 +385,7 @@ class SerialExecutor:
         outcome.setdefault("attempts", attempts)
         return outcome
 
-    def run(self, jobs: Sequence[SweepJob], trace: str = "full",
+    def run(self, jobs: Sequence[SweepJob],
             on_outcome: Callable[[SweepJob, dict], None] | None = None,
             models: Resolutions | None = None) -> list[dict]:
         if not jobs:
@@ -404,7 +400,7 @@ class SerialExecutor:
                 with obs.span("sweep.job", backend=job.backend,
                               index=job.index):
                     start = time.perf_counter()
-                    outcome = self._run_one(job, trace, models)
+                    outcome = self._run_one(job, models)
                     histogram.labels(job.backend).observe(
                         time.perf_counter() - start)
                 outcomes.append(outcome)
@@ -501,7 +497,7 @@ class ProcessPoolExecutor:
         if persistent:
             self.name = "process-persistent"
 
-    def run(self, jobs: Sequence[SweepJob], trace: str = "full",
+    def run(self, jobs: Sequence[SweepJob],
             on_outcome: Callable[[SweepJob, dict], None] | None = None
             ) -> list[dict]:
         if not jobs:
@@ -533,7 +529,7 @@ class ProcessPoolExecutor:
             acquire=acquire, recycle=recycle, execute=execute_job,
             workers=self.max_workers or os.cpu_count() or 1,
             job_timeout=self.job_timeout, policy=self.policy,
-            trace=trace, on_outcome=on_outcome)
+            on_outcome=on_outcome)
         with obs.span("sweep.pool_dispatch", executor=self.name,
                       jobs=len(jobs)):
             start = time.perf_counter()
@@ -561,8 +557,8 @@ def make_executor(executor: str | object,
 
     The fault-tolerance knobs configure the built-in executors; custom
     executor objects are the caller's explicit choice and are passed
-    through untouched (their ``run`` may still accept ``trace`` and
-    ``on_outcome``, detected per call).
+    through untouched (their ``run`` may still accept ``on_outcome``
+    and ``models``, detected per call).
     """
     if isinstance(executor, str):
         if executor == "serial":
@@ -587,19 +583,17 @@ def make_executor(executor: str | object,
     return executor
 
 
-def _run_with_trace(runner, jobs: Sequence[SweepJob], trace: str,
-                    on_outcome: Callable[[SweepJob, dict], None],
-                    models: Resolutions | None = None) -> list[dict]:
-    """Call ``runner.run``, passing ``trace``/``on_outcome``/``models``
-    only if accepted (keeps pre-trace-tier custom executors working;
-    ``models`` only serves jobs that run in this process)."""
+def _run_executor(runner, jobs: Sequence[SweepJob],
+                  on_outcome: Callable[[SweepJob, dict], None],
+                  models: Resolutions | None = None) -> list[dict]:
+    """Call ``runner.run``, passing ``on_outcome``/``models`` only if
+    accepted (a custom executor may take neither; ``models`` only
+    serves jobs that run in this process)."""
     try:
         accepted = inspect.signature(runner.run).parameters
     except (TypeError, ValueError):  # builtins, exotic callables
         accepted = {}
     kwargs = {}
-    if "trace" in accepted:
-        kwargs["trace"] = trace
     if "on_outcome" in accepted:
         kwargs["on_outcome"] = on_outcome
     if models is not None and "models" in accepted:
@@ -618,7 +612,6 @@ def run_jobs(jobs: Sequence[SweepJob],
              executor: str | object = "serial",
              max_workers: int | None = None,
              progress: Callable[[str], None] | None = None,
-             trace: str = "summary",
              analytic_grid: bool = True,
              dispatch_lock: threading.Lock | None = None,
              cache_stats: CacheStats | None = None,
@@ -661,10 +654,6 @@ def run_jobs(jobs: Sequence[SweepJob],
     budget-capped; a memoized doomed verdict skips its jobs before
     dispatch.  A healthy sweep computes none.
 
-    ``trace`` is the estimator recording tier for points that actually
-    run (cached points were recorded at whatever tier produced them —
-    payloads are tier-invariant).
-
     ``analytic_grid`` routes analytic cache misses through the
     grid-compiled plan path (byte-identical payloads; ``False`` forces
     classic per-point evaluation — benchmarks and differential tests
@@ -680,7 +669,6 @@ def run_jobs(jobs: Sequence[SweepJob],
     receives exactly this call's cache outcomes (see
     :meth:`repro.sweep.cache.ResultCache.get`).
     """
-    validate_trace_tier(trace)
     if max_retries < 0:
         raise ProphetError(
             f"max_retries must be >= 0, got {max_retries!r}")
@@ -783,7 +771,7 @@ def run_jobs(jobs: Sequence[SweepJob],
                             if job.backend == "analytic"]
         if analytic_pending:
             grid_outcomes, group_count = _run_analytic_grid(
-                analytic_pending, trace, models)
+                analytic_pending, models)
             outcomes.update(grid_outcomes)
             pending = [job for job in pending
                        if job.backend != "analytic"]
@@ -812,7 +800,7 @@ def run_jobs(jobs: Sequence[SweepJob],
                        f"journal" if resumed else "")
         progress(f"sweep: {len(jobs)} point(s), {len(served)} cached, "
                  f"{len(pending)} to run on {getattr(runner, 'name', '?')} "
-                 f"executor{grid_note}{resume_note} [trace={trace}]")
+                 f"executor{grid_note}{resume_note}")
     with obs.span("sweep.dispatch", executor=runner_name,
                   jobs=len(pending)):
         # Nothing pending → never touch the executor: a fully-cached
@@ -822,11 +810,11 @@ def run_jobs(jobs: Sequence[SweepJob],
             dispatched: list[dict] = []
         elif dispatch_lock is not None:
             with dispatch_lock:
-                dispatched = _run_with_trace(runner, pending, trace,
-                                             on_outcome, models)
+                dispatched = _run_executor(runner, pending,
+                                           on_outcome, models)
         else:
-            dispatched = _run_with_trace(runner, pending, trace,
-                                         on_outcome, models)
+            dispatched = _run_executor(runner, pending, on_outcome,
+                                       models)
         outcomes.update(zip((job.index for job in pending),
                             dispatched))
     outcomes.update(doomed)
@@ -926,7 +914,6 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
               executor: str | object = "serial",
               max_workers: int | None = None,
               progress: Callable[[str], None] | None = None,
-              trace: str = "summary",
               analytic_grid: bool = True,
               preflight: bool = True,
               job_timeout: float | None = None,
@@ -949,7 +936,7 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
         jobs = list(spec)
     return run_jobs(jobs, cache=cache, executor=executor,
                     max_workers=max_workers, progress=progress,
-                    trace=trace, analytic_grid=analytic_grid,
+                    analytic_grid=analytic_grid,
                     preflight=preflight,
                     job_timeout=job_timeout,
                     max_retries=max_retries or 0,

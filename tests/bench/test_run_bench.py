@@ -20,8 +20,7 @@ def test_smoke_snapshot_shape(tmp_path):
 
     sweep = snapshot["benchmarks"]["cold_sweep_3scenario"]
     assert sweep["events"] > 0
-    for key in ("wall_s_full", "wall_s_summary",
-                "events_per_s_summary", "speedup_summary_vs_full"):
+    for key in ("wall_s_summary", "events_per_s_summary"):
         assert sweep[key] > 0, key
 
     tiers = snapshot["benchmarks"]["estimator_stencil_tiers"]

@@ -122,3 +122,50 @@ class TestTierRestrictions:
         path = result.write_trace_file(tmp_path / "trace.csv")
         assert path.read_text(encoding="utf-8").count("\n") == \
             result.trace_records + 1  # header + one line per record
+
+
+class TestCountsOnlyPathsRecordSummary:
+    """A sweep point, a served request and a bare ``evaluate_point``
+    return counts only, so none of them builds full-tier records."""
+
+    @pytest.fixture(autouse=True)
+    def no_full_tier(self, monkeypatch):
+        import repro.estimator.trace as trace_module
+
+        class Refused(TraceRecorder):
+            def __init__(self) -> None:
+                raise AssertionError("a full-tier trace was recorded")
+
+        monkeypatch.setattr(trace_module, "TraceRecorder", Refused)
+
+    @staticmethod
+    def spec():
+        from repro.sweep import make_spec
+        return make_spec(build_sample_model(), processes=[1, 2],
+                         backends=["codegen", "interp"])
+
+    def test_serial_sweep(self):
+        from repro.sweep import run_sweep
+        assert run_sweep(self.spec()).failed() == []
+
+    def test_pool_sweep(self):
+        # Forked workers inherit the patched recorder.
+        from repro.sweep import ProcessPoolExecutor, run_sweep
+        result = run_sweep(self.spec(),
+                           executor=ProcessPoolExecutor(max_workers=2))
+        assert result.failed() == []
+
+    def test_service_batch(self, tmp_path):
+        from repro.service import EvaluationRequest, EvaluationService
+        service = EvaluationService(tmp_path / "registry")
+        ref = service.ingest_sample("sample").ref
+        response = service.submit([
+            EvaluationRequest(model_ref=ref, backend=backend,
+                              params={"processes": 2})
+            for backend in ("codegen", "interp")])
+        assert response.ok(), response.results
+
+    def test_evaluate_point(self):
+        payload = evaluate_point(build_sample_model(), "codegen",
+                                 _params(), check=False)
+        assert payload["trace_records"] > 0

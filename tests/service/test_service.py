@@ -155,11 +155,11 @@ class TestBatchSemantics:
             assert {k: left[k] for k in RESULT_PAYLOAD_KEYS} == \
                 {k: right[k] for k in RESULT_PAYLOAD_KEYS}
 
-    def test_persistent_pool_and_trace_tiers_match_serial(self, tmp_path):
-        serial = EvaluationService(tmp_path / "r1", trace="summary")
+    def test_persistent_pool_matches_serial(self, tmp_path):
+        serial = EvaluationService(tmp_path / "r1")
         persistent = EvaluationService(tmp_path / "r2",
                                        executor="process-persistent",
-                                       max_workers=2, trace="summary")
+                                       max_workers=2)
         requests = mixed_batch(serial.ingest_sample("sample").ref,
                                processes=(1, 2), seeds=(0,))
         persistent.ingest_sample("sample")
@@ -173,12 +173,6 @@ class TestBatchSemantics:
             payload = {k: left[k] for k in RESULT_PAYLOAD_KEYS}
             assert payload == {k: right[k] for k in RESULT_PAYLOAD_KEYS}
             assert payload == {k: again[k] for k in RESULT_PAYLOAD_KEYS}
-        assert a.stats["trace"] == "summary"
-
-    def test_unknown_trace_tier_rejected(self, tmp_path):
-        from repro.errors import TraceError
-        with pytest.raises(TraceError, match="trace tier"):
-            EvaluationService(tmp_path / "r", trace="verbose")
 
     def test_stats_accumulate(self, service):
         record = service.ingest_sample("kernel6")

@@ -235,7 +235,7 @@ class _RecordingExecutor:
     def __init__(self, executed: list) -> None:
         self.executed = executed
 
-    def run(self, jobs, trace="full"):
+    def run(self, jobs):
         from repro.sweep.runner import execute_job
         self.executed.extend(job.index for job in jobs)
-        return [execute_job(job, trace) for job in jobs]
+        return [execute_job(job) for job in jobs]

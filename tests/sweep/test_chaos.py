@@ -250,8 +250,7 @@ class TestBrokenPoolRecovery:
                                   backends=["interp"]))
         try:
             outcomes = ProcessPoolExecutor(
-                max_workers=2, persistent=True).run(jobs,
-                                                    trace="summary")
+                max_workers=2, persistent=True).run(jobs)
             replacement = runner_module._SHARED_POOL
         finally:
             shutdown_shared_pool()
@@ -265,8 +264,7 @@ class TestBrokenPoolRecovery:
         built = self._fresh_pools(monkeypatch, refusing=2)
         jobs = expand(kernel_spec(processes=[1, 2],
                                   backends=["interp"]))
-        outcomes = ProcessPoolExecutor(max_workers=2).run(
-            jobs, trace="summary")
+        outcomes = ProcessPoolExecutor(max_workers=2).run(jobs)
         assert [o["status"] for o in outcomes] == ["ok", "ok"]
         # Job 0 ran here after two refusals; job 1 on the third pool.
         assert len(built) == 3

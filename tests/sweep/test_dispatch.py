@@ -14,7 +14,7 @@ from repro.errors import ProphetError
 from repro.machine.network import NetworkConfig
 from repro.machine.params import SystemParameters
 from repro.samples import build_sample_model
-from repro.sweep import ResultCache, make_spec, run_sweep
+from repro.sweep import make_spec, run_sweep
 from repro.sweep.grid import expand
 from repro.sweep.runner import (
     ProcessPoolExecutor,
@@ -117,46 +117,10 @@ class TestShipOnceTable:
         jobs = expand(small_spec())
         executor = ProcessPoolExecutor(max_workers=2, persistent=True)
         try:
-            outcomes = executor.run(jobs, trace="summary")
+            outcomes = executor.run(jobs)
         finally:
             shutdown_shared_pool()
         assert [o["status"] for o in outcomes] == ["ok"] * len(jobs)
-
-
-class TestTraceTierCaching:
-    def test_summary_and_full_share_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        first = run_sweep(small_spec(), cache=cache, trace="full")
-        second = run_sweep(small_spec(),
-                           cache=ResultCache(tmp_path / "cache"),
-                           trace="summary")
-        assert all(r.cached for r in second)
-        assert first.to_csv() == second.to_csv()
-
-    def test_trace_tiers_do_not_change_tables(self):
-        spec = small_spec()
-        full = run_sweep(spec, trace="full").to_csv()
-        summary = run_sweep(spec, trace="summary").to_csv()
-        assert full == summary
-
-    def test_unknown_tier_rejected(self):
-        from repro.errors import TraceError
-        with pytest.raises(TraceError, match="trace tier"):
-            run_sweep(small_spec(), trace="verbose")
-        with pytest.raises(TraceError, match="trace tier"):
-            run_sweep(small_spec(), trace="off")
-
-
-class TestLegacyExecutorCompat:
-    def test_run_without_trace_parameter_still_works(self):
-        class OldStyleExecutor:
-            name = "old"
-
-            def run(self, jobs):
-                return [execute_job(job) for job in jobs]
-
-        result = run_sweep(small_spec(), executor=OldStyleExecutor())
-        assert result.failed() == []
 
 
 class TestPoolDispatchHeuristic:
