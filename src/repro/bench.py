@@ -10,9 +10,9 @@ refreshed trajectory, and CI's ``bench-smoke`` leg keeps the harness
 itself from rotting.
 
 Besides wall times the harness *verifies* one contract on every run,
-smoke mode included: the analytic grid path must produce byte-identical
-result tables to per-point evaluation — a mismatch raises and fails the
-run (timing numbers never gate CI; identity does).
+smoke mode included: the sweep's analytic grid path must give exactly
+the results of per-point ``evaluate_point`` calls — a mismatch raises
+and fails the run (timing numbers never gate CI; identity does).
 
 Workloads are deliberately deterministic and self-contained (scenario
 generators, serial-executor defaults); wall times are best-of-``repeats``
@@ -123,11 +123,10 @@ def _cold_sweep(models, executor="serial", max_workers=None):
     return wall, sum(r.events for r in result)
 
 
-def _analytic_grid_sweep(smoke: bool, analytic_grid: bool):
-    """One cold single-model analytic sweep over a dense parameter
-    grid; returns (wall_s, SweepResult)."""
+def _analytic_grid_spec(smoke: bool):
+    """One model over a dense processes × latency × bandwidth grid."""
     from repro.scenarios import build_scenario
-    from repro.sweep import make_spec, run_sweep
+    from repro.sweep import make_spec
     if smoke:
         model = build_scenario("stencil2d", nx=48, ny=48, iters=10)
         processes, axis_points = [2, 4], 5
@@ -138,19 +137,43 @@ def _analytic_grid_sweep(smoke: bool, analytic_grid: bool):
                  for i in range(axis_points)]
     bandwidths = [1e8 * 4 ** (i / (2 * axis_points))
                   for i in range(2 * axis_points)]
-    spec = make_spec(model, processes=processes,
-                     backends=["analytic"],
+    return make_spec(model, processes=processes, backends=["analytic"],
                      latencies=latencies, bandwidths=bandwidths)
+
+
+def _analytic_grid_sweep(smoke: bool):
+    """The grid path: one cold sweep of the dense analytic grid;
+    returns (wall_s, each point's (time, events, records))."""
+    from repro.sweep import run_sweep
+    spec = _analytic_grid_spec(smoke)
     _clear_memos()
     start = time.perf_counter()
-    result = run_sweep(spec, cache=None, executor="serial",
-                       analytic_grid=analytic_grid)
+    result = run_sweep(spec, cache=None, executor="serial")
     wall = time.perf_counter() - start
     failed = [r for r in result if r.status != "ok"]
     if failed:
         raise RuntimeError(
             f"analytic grid benchmark failed: {failed[0].error}")
-    return wall, result
+    return wall, [(r.predicted_time, r.events, r.trace_records)
+                  for r in result]
+
+
+def _analytic_per_point(smoke: bool):
+    """The per-point oracle over the same grid: ``execute_job`` on each
+    expanded job, one ``evaluate_point`` call each; returns what
+    :func:`_analytic_grid_sweep` returns."""
+    from repro.sweep import execute_job, expand
+    spec = _analytic_grid_spec(smoke)
+    _clear_memos()
+    start = time.perf_counter()
+    outcomes = [execute_job(job) for job in expand(spec)]
+    wall = time.perf_counter() - start
+    failed = [o for o in outcomes if o["status"] != "ok"]
+    if failed:
+        raise RuntimeError(
+            f"analytic per-point benchmark failed: {failed[0]['error']}")
+    return wall, [(o["predicted_time"], o["events"], o["trace_records"])
+                  for o in outcomes]
 
 
 def _instrumented_cold_sweep(models):
@@ -266,24 +289,23 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
         }
 
     # 4. The analytic grid path: one model, a dense processes × latency
-    #    × bandwidth grid, per-point vs grid-compiled dispatch.  The
-    #    identity check is a hard contract and runs in every mode —
-    #    byte-identical result tables or the harness raises.
+    #    × bandwidth grid, per-point evaluation vs the sweep's
+    #    grid-compiled dispatch.  The identity check is a hard contract
+    #    and runs in every mode — equal results point by point or the
+    #    harness raises.
     # Same repeat count on both sides — best-of-N shrinks with N, so an
     # asymmetric count would flatter whichever side got more attempts.
     grid_repeats = max(1, repeats - 1)
-    per_point_wall, per_point_result = _best(
-        lambda: _analytic_grid_sweep(smoke, analytic_grid=False),
-        grid_repeats)
-    grid_wall, grid_result = _best(
-        lambda: _analytic_grid_sweep(smoke, analytic_grid=True),
-        grid_repeats)
-    identical = grid_result.to_csv() == per_point_result.to_csv()
-    points = len(grid_result)
+    per_point_wall, per_point_rows = _best(
+        lambda: _analytic_per_point(smoke), grid_repeats)
+    grid_wall, grid_rows = _best(
+        lambda: _analytic_grid_sweep(smoke), grid_repeats)
+    identical = grid_rows == per_point_rows
+    points = len(grid_rows)
     benchmarks["analytic_grid_1000pt"] = {
         "description": "cold single-model analytic sweep over a dense "
-                       "processes × latency × bandwidth grid: classic "
-                       "per-point evaluation vs the grid-compiled "
+                       "processes × latency × bandwidth grid: per-point "
+                       "evaluate_point calls vs the grid-compiled "
                        "plan (compile once, vectorized replay)",
         "points": points,
         "wall_s_per_point": round(per_point_wall, 4),
@@ -297,7 +319,7 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
     if not identical:
         raise RuntimeError(
             "analytic grid-vs-per-point identity broke: the grid path "
-            "produced a different result table than evaluate_point")
+            "produced different results than evaluate_point")
 
     # 5. Observability overhead: the same cold sweep with
     #    the full harness on (detail + profiler) vs off.  The ratio is

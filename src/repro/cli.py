@@ -393,13 +393,6 @@ def _add_sweep_axis_args(sub: argparse.ArgumentParser) -> None:
                           f"{MIN_POOL_JOBS} pending simulated points a "
                           "sweep runs serial unless --job-timeout or "
                           "--max-retries is set)")
-    sub.add_argument("--no-analytic-grid", action="store_true",
-                     help="evaluate analytic points one by one "
-                          "instead of through the grid-compiled plan "
-                          "(debug/benchmark switch; results are "
-                          "byte-identical either way; per-point "
-                          "analytic work still never counts toward "
-                          "the pool floor)")
     sub.add_argument("--job-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-job wall-clock deadline on pool "
@@ -675,7 +668,6 @@ def _run_sweep_from_args(args, progress=print):
     executor = "process" if args.jobs > 0 else "serial"
     return run_sweep(spec, cache=cache, executor=executor,
                      max_workers=args.jobs or None, progress=progress,
-                     analytic_grid=not args.no_analytic_grid,
                      campaign=campaign)
 
 

@@ -62,7 +62,6 @@ class EvaluationService:
                  cache: ResultCache | str | Path | None = None,
                  executor: str = "serial",
                  max_workers: int | None = None,
-                 analytic_grid: bool = True,
                  serialize_batches: bool = False,
                  job_timeout: float | None = None,
                  max_retries: int = 0,
@@ -85,10 +84,6 @@ class EvaluationService:
         # have not seen and memoize them for every later batch).
         self.executor = executor
         self.max_workers = max_workers
-        # Analytic requests run through the grid-compiled plan path by
-        # default (byte-identical payloads; a kill switch for A/B
-        # comparison and debugging).
-        self.analytic_grid = analytic_grid
         # Fault-tolerance knobs, forwarded to run_jobs per batch: a
         # per-job wall-clock deadline (pool executors), a transient
         # retry budget, and an optional fault plan (chaos tests only).
@@ -158,7 +153,6 @@ class EvaluationService:
         sweep_result = run_jobs(plan.jobs, cache=self.cache,
                                 executor=self.executor,
                                 max_workers=self.max_workers,
-                                analytic_grid=self.analytic_grid,
                                 dispatch_lock=self._dispatch_lock,
                                 cache_stats=delta,
                                 job_timeout=self.job_timeout,
@@ -224,8 +218,7 @@ class EvaluationService:
             "requests": plan.request_count,
             "unique_jobs": len(plan.jobs),
             "coalesced": plan.coalesced_count,
-            "analytic_grid_groups": (plan.analytic_grid_groups
-                                     if self.analytic_grid else 0),
+            "analytic_grid_groups": plan.analytic_grid_groups,
             "plan_errors": len(plan.errors),
             "cache_hits": delta.hits,
             "cache_misses": delta.misses,
@@ -294,8 +287,7 @@ class EvaluationService:
                                 if self.executor == "serial" else None),
             # Analytic plans always run in this process (the grid path
             # never crosses the pool), so their memo is always honest.
-            "analytic_plans": (plan_cache_stats()
-                               if self.analytic_grid else None),
+            "analytic_plans": plan_cache_stats(),
             "executor": self.executor_name,
             # Static-analysis verdicts per stored model (warnings show
             # up here; errors never make it into the registry) plus the

@@ -612,7 +612,6 @@ def run_jobs(jobs: Sequence[SweepJob],
              executor: str | object = "serial",
              max_workers: int | None = None,
              progress: Callable[[str], None] | None = None,
-             analytic_grid: bool = True,
              dispatch_lock: threading.Lock | None = None,
              cache_stats: CacheStats | None = None,
              preflight: bool = True,
@@ -653,11 +652,6 @@ def run_jobs(jobs: Sequence[SweepJob],
     Verdicts are memoized per (model, size, threshold) and
     budget-capped; a memoized doomed verdict skips its jobs before
     dispatch.  A healthy sweep computes none.
-
-    ``analytic_grid`` routes analytic cache misses through the
-    grid-compiled plan path (byte-identical payloads; ``False`` forces
-    classic per-point evaluation — benchmarks and differential tests
-    use it).
 
     ``dispatch_lock`` is the *executor-ownership* lock for concurrent
     callers (the evaluation service): it is taken only around the
@@ -766,17 +760,15 @@ def run_jobs(jobs: Sequence[SweepJob],
         campaign.record(key_of[job.index], status, outcome.get("error"))
 
     grid_note = ""
-    if analytic_grid:
-        analytic_pending = [job for job in pending
-                            if job.backend == "analytic"]
-        if analytic_pending:
-            grid_outcomes, group_count = _run_analytic_grid(
-                analytic_pending, models)
-            outcomes.update(grid_outcomes)
-            pending = [job for job in pending
-                       if job.backend != "analytic"]
-            grid_note = (f" + {len(analytic_pending)} analytic "
-                         f"point(s) in {group_count} grid group(s)")
+    analytic_pending = [job for job in pending
+                        if job.backend == "analytic"]
+    if analytic_pending:
+        grid_outcomes, group_count = _run_analytic_grid(analytic_pending,
+                                                        models)
+        outcomes.update(grid_outcomes)
+        pending = [job for job in pending if job.backend != "analytic"]
+        grid_note = (f" + {len(analytic_pending)} analytic "
+                     f"point(s) in {group_count} grid group(s)")
 
     simulated_jobs = sum(1 for job in pending
                          if job.backend in SIMULATED_BACKENDS)
@@ -914,7 +906,6 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
               executor: str | object = "serial",
               max_workers: int | None = None,
               progress: Callable[[str], None] | None = None,
-              analytic_grid: bool = True,
               preflight: bool = True,
               job_timeout: float | None = None,
               max_retries: int | None = None,
@@ -936,7 +927,6 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
         jobs = list(spec)
     return run_jobs(jobs, cache=cache, executor=executor,
                     max_workers=max_workers, progress=progress,
-                    analytic_grid=analytic_grid,
                     preflight=preflight,
                     job_timeout=job_timeout,
                     max_retries=max_retries or 0,

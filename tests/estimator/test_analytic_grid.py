@@ -31,6 +31,7 @@ from repro.sweep.grid import apply_overrides, expand
 from repro.uml.builder import ModelBuilder
 from repro.uml.random_models import random_model
 from repro.util.hashing import canonical_json
+from tests.sweep.per_point import per_point_sweep
 
 BASE = NetworkConfig()
 
@@ -176,8 +177,8 @@ class TestRankInvariance:
 
 
 class TestRunnerGridDispatch:
-    """The sweep runner's grid path vs classic per-point dispatch:
-    identical tables, identical cache entries."""
+    """The sweep runner's grid path vs the per-point oracle: identical
+    tables, identical cache entries, identical error strings."""
 
     def sweep_spec(self):
         return make_spec(build_kernel6_model(),
@@ -191,9 +192,8 @@ class TestRunnerGridDispatch:
         spec = self.sweep_spec()
         grid_cache = ResultCache(tmp_path / "grid")
         classic_cache = ResultCache(tmp_path / "classic")
-        grid = run_sweep(spec, cache=grid_cache, analytic_grid=True)
-        classic = run_sweep(spec, cache=classic_cache,
-                            analytic_grid=False)
+        grid = run_sweep(spec, cache=grid_cache)
+        classic = per_point_sweep(spec, cache=classic_cache)
         assert grid.to_csv() == classic.to_csv()
         jobs = expand(self.sweep_spec())
         assert jobs  # the spec really expanded
@@ -211,12 +211,11 @@ class TestRunnerGridDispatch:
         spec = make_scenario_spec(
             "fork_join", {"depth": [2, 3], "fanout": [2]},
             processes=[2], backends=["analytic"])
-        grid = run_sweep(spec, analytic_grid=True)
-        classic = run_sweep(
+        grid = run_sweep(spec)
+        classic = per_point_sweep(
             make_scenario_spec("fork_join",
                                {"depth": [2, 3], "fanout": [2]},
-                               processes=[2], backends=["analytic"]),
-            analytic_grid=False)
+                               processes=[2], backends=["analytic"]))
         assert grid.to_csv() == classic.to_csv()
         assert len({r.job.model_hash for r in grid}) == 2
 
@@ -231,10 +230,9 @@ class TestRunnerGridDispatch:
         model = builder.build()
         spec = make_spec(model, backends=["analytic"],
                          overrides={"D": [1, 0]})
-        grid = run_sweep(spec, analytic_grid=True)
-        classic = run_sweep(make_spec(model, backends=["analytic"],
-                                      overrides={"D": [1, 0]}),
-                            analytic_grid=False)
+        grid = run_sweep(spec)
+        classic = per_point_sweep(make_spec(model, backends=["analytic"],
+                                            overrides={"D": [1, 0]}))
         assert grid.to_csv() == classic.to_csv()
         assert len(grid.failed()) == 1
         assert "division by zero" in grid.failed()[0].error

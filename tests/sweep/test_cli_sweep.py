@@ -130,22 +130,6 @@ class TestNetworkAxesAndGridFlags:
         assert "6 point(s), 6 ok" in out
         assert "grid group(s)" in out  # dispatched through the grid path
 
-    def test_no_analytic_grid_flag_matches_grid_csv(self, tmp_path,
-                                                    capsys):
-        csv_a = tmp_path / "grid.csv"
-        csv_b = tmp_path / "classic.csv"
-        common = ["sweep", "--kind", "kernel6", "--processes", "1,2",
-                  "--backends", "analytic",
-                  "--latency", "1e-7,1e-6", "--no-table"]
-        assert main([*common, "--csv", str(csv_a)]) == 0
-        out = capsys.readouterr().out
-        assert "grid group(s)" in out
-        assert main([*common, "--no-analytic-grid",
-                     "--csv", str(csv_b)]) == 0
-        out = capsys.readouterr().out
-        assert "grid group(s)" not in out
-        assert csv_a.read_text() == csv_b.read_text()
-
     def test_small_simulated_sweep_falls_back_to_serial(self, capsys):
         code = main(["sweep", "--kind", "kernel6",
                      "--processes", "1,2", "--backends", "codegen",

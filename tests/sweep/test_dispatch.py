@@ -25,6 +25,7 @@ from repro.sweep.runner import (
 )
 from repro.uml.hashing import model_structural_hash
 from repro.xmlio.writer import model_to_xml
+from tests.sweep.per_point import per_point_sweep
 
 
 def small_spec():
@@ -178,16 +179,13 @@ class TestPoolDispatchHeuristic:
         spec = make_spec(build_sample_model(),
                          processes=[1, 2, 4],
                          backends=["analytic"], seeds=list(range(20)))
-        # 60 analytic points — far above the floor, yet no pool: with
-        # the grid path they run in-process; even with it disabled
-        # they never justify pool startup on their own.
-        for analytic_grid in (True, False):
-            lines = []
-            result = run_sweep(spec, executor="process", max_workers=2,
-                               analytic_grid=analytic_grid,
-                               progress=lines.append)
-            assert result.failed() == []
-            assert "serial executor" in lines[0]
+        # 60 analytic points — far above the floor, yet no pool: the
+        # grid path runs them in-process.
+        lines = []
+        result = run_sweep(spec, executor="process", max_workers=2,
+                           progress=lines.append)
+        assert result.failed() == []
+        assert "serial executor" in lines[0]
 
 
 class TestMaxWorkersValidation:
@@ -214,8 +212,7 @@ class TestAnalyticGridRouting:
         assert result.failed() == []
         assert "2 analytic point(s) in 1 grid group(s)" in lines[0]
 
-    def test_grid_and_classic_dispatch_byte_identical(self):
-        spec = small_spec()
-        grid = run_sweep(spec, analytic_grid=True)
-        classic = run_sweep(small_spec(), analytic_grid=False)
-        assert grid.to_csv() == classic.to_csv()
+    def test_grid_and_per_point_byte_identical(self):
+        grid = run_sweep(small_spec())
+        per_point = per_point_sweep(small_spec())
+        assert grid.to_csv() == per_point.to_csv()
