@@ -9,11 +9,12 @@ Usage (repo root)::
     python benchmarks/run_loadgen.py -o latency.json    # write snapshot
 
 Runs real HTTP against an in-process server: concurrent fast batches
-racing a heavy simulated stream (concurrent service vs the legacy
-serialize-every-batch lock), a byte-identity check against a serial
+racing a heavy simulated stream, a byte-identity check against a serial
 reference, and a queue_depth-1 overload probe.  The identity,
 malformed-response, and 429-deadline contracts are hard — a violation
-exits non-zero, which is what CI's ``loadgen-smoke`` leg asserts.
+exits non-zero, which is what CI's ``loadgen-smoke`` leg asserts.  The
+one-batch-at-a-time baseline the concurrent service was first measured
+against is a recorded number in ``BENCH_estimator.json``'s history.
 """
 
 import argparse

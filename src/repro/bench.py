@@ -366,10 +366,9 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
             best_instrumented = min(instrumented_walls)
     # 6. The serving tier under concurrent load: real HTTP, fast
     #    cache-warm/analytic batches racing a heavy simulated stream,
-    #    concurrent service vs the legacy serialize-every-batch lock,
     #    plus the queue_depth-1 overload probe.  Its identity,
     #    malformed-response, and 429-deadline contracts are hard (the
-    #    loadgen raises); the latency/speedup numbers are trajectory.
+    #    loadgen raises); the latency numbers are trajectory.
     if loadgen_bench:
         from repro.service.loadgen import run_loadgen
         benchmarks["serving_loadgen"] = run_loadgen(smoke=smoke)

@@ -7,11 +7,10 @@ instance, several client threads at once.  Three phases:
 1. **Latency under contention** — worker threads post *fast* batches
    (cache-warm simulated points plus analytic points, which never touch
    the executor) while a heavy thread posts cache-missing simulated
-   batches through a deliberately slow executor.  Run twice: against
-   the concurrent service, then against a ``serialize_batches=True``
-   service — the legacy one-batch-at-a-time submit lock.  The p50/p99
-   gap between the two runs *is* the tentpole: fast batches must not
-   wait behind a slow simulation batch.
+   batches through a deliberately slow executor.  Fast batches must not
+   wait behind a slow simulation batch.  The one-batch-at-a-time
+   baseline this was once measured against is a recorded number
+   (``BENCH_estimator.json``'s history), not a mode of the service.
 2. **Identity** — every fast response is byte-compared (on the
    deterministic payload keys) against a serial reference captured
    during warm-up.  Any mismatch raises; concurrency must never change
@@ -20,7 +19,7 @@ instance, several client threads at once.  Three phases:
    concurrent posts than it admits; the surplus must come back as
    ``429`` + ``Retry-After`` well within the socket timeout, not hang.
 
-Each latency run also records how many connections the server accepted
+The latency run also records how many connections the server accepted
 (``http_connections_total``) against its client threads and batches:
 with keep-alive every client's batches share one connection, which the
 ``loadgen-smoke`` CI leg asserts.
@@ -108,36 +107,31 @@ def _heavy_batch(ref: str, seed: int) -> list[EvaluationRequest]:
                               params={"processes": 2}, seed=seed)]
 
 
-def _build_service(root: Path, serialize: bool,
+def _build_service(root: Path,
                    delay_s: float) -> tuple[EvaluationService, str]:
     service = EvaluationService(
         root / "registry", cache=root / "cache",
-        executor=SlowExecutor(delay_s),
-        serialize_batches=serialize)
+        executor=SlowExecutor(delay_s))
     record = service.ingest_sample(WORKLOAD_MODEL)
     return service, record.ref
 
 
-def _measure_phase(root: Path, serialize: bool, *,
-                   delay_s: float, workers: int, rounds: int,
-                   reference: dict[str, str]) -> dict:
-    """One latency run; fills/validates ``reference`` (request canonical
-    JSON → result canonical JSON) and returns the stats dict."""
-    service, ref = _build_service(root, serialize, delay_s)
+def _measure_phase(root: Path, *, delay_s: float, workers: int,
+                   rounds: int) -> dict:
+    """The latency run; returns its stats dict."""
+    service, ref = _build_service(root, delay_s)
     batches = _fast_batches(ref)
 
-    # Warm-up doubles as the serial reference: the cache fills (fast
-    # batches become pure hits) and every expected payload is recorded
-    # before any concurrency exists.
+    # Warm-up doubles as the serial reference (request canonical JSON →
+    # result canonical JSON): the cache fills (fast batches become pure
+    # hits) and every expected payload is recorded before any
+    # concurrency exists.
+    reference: dict[str, str] = {}
     for batch in batches:
         response = service.submit(batch)
         for request, result in zip(batch, response.results):
             key = json.dumps(request.to_payload(), sort_keys=True)
-            canonical = _canonical(result)
-            if reference.setdefault(key, canonical) != canonical:
-                raise RuntimeError(
-                    "serial warm-up disagreed with the previous "
-                    "phase's reference payloads")
+            reference[key] = _canonical(result)
 
     server = make_server(service)
     host, port = server.server_address[:2]
@@ -214,8 +208,8 @@ def _measure_phase(root: Path, serialize: bool, *,
 
     if problems:
         raise RuntimeError(
-            f"loadgen {'serialized' if serialize else 'concurrent'} "
-            f"phase: {len(problems)} problem(s); first: {problems[0]}")
+            f"loadgen latency phase: {len(problems)} problem(s); "
+            f"first: {problems[0]}")
     requests_served = sum(len(batches[i % len(batches)])
                           for i in range(rounds)) * workers
     return {
@@ -235,8 +229,7 @@ def _measure_phase(root: Path, serialize: bool, *,
 def _overload_phase(root: Path, *, delay_s: float,
                     socket_timeout: float) -> dict:
     """Overfill a queue_depth-1 server; surplus must 429 fast."""
-    service, ref = _build_service(root / "overload", serialize=False,
-                                  delay_s=delay_s)
+    service, ref = _build_service(root / "overload", delay_s)
     server = make_server(service, queue_depth=1,
                          socket_timeout=socket_timeout,
                          retry_after_s=1.0)
@@ -312,7 +305,8 @@ def run_loadgen(smoke: bool = False, root: str | Path | None = None,
     """Run all three phases; returns the benchmark entry dict.
 
     ``root`` is a scratch directory (a temp dir is created when None);
-    each phase builds its own registry/cache underneath it.
+    the latency and overload runs build their own registry/cache
+    underneath it.
     """
     import tempfile
     if workers is None:
@@ -323,13 +317,9 @@ def run_loadgen(smoke: bool = False, root: str | Path | None = None,
 
     with tempfile.TemporaryDirectory() as scratch:
         base = Path(root) if root is not None else Path(scratch)
-        reference: dict[str, str] = {}
         concurrent = _measure_phase(
-            base / "concurrent", serialize=False, delay_s=delay_s,
-            workers=workers, rounds=rounds, reference=reference)
-        serialized = _measure_phase(
-            base / "serialized", serialize=True, delay_s=delay_s,
-            workers=workers, rounds=rounds, reference=reference)
+            base / "concurrent", delay_s=delay_s, workers=workers,
+            rounds=rounds)
         overload = _overload_phase(
             base, delay_s=delay_s,
             socket_timeout=5.0 if smoke else 10.0)
@@ -338,19 +328,12 @@ def run_loadgen(smoke: bool = False, root: str | Path | None = None,
         "description": "HTTP loadgen: fast cache-warm/analytic batches "
                        "from concurrent clients racing a heavy "
                        "cache-missing simulated stream (executor delay "
-                       f"{delay_s:g}s); concurrent service vs the "
-                       "legacy serialize-every-batch lock; plus a "
-                       "queue_depth-1 overload probe",
+                       f"{delay_s:g}s); plus a queue_depth-1 overload "
+                       "probe",
         "workers": workers,
         "rounds_per_worker": rounds,
         "heavy_executor_delay_s": delay_s,
         "concurrent": concurrent,
-        "serialized_baseline": serialized,
-        "speedup_p99": round(
-            serialized["p99_ms"] / concurrent["p99_ms"], 2)
-        if concurrent["p99_ms"] else None,
-        "speedup_wall": round(
-            serialized["wall_s"] / concurrent["wall_s"], 2),
         "identity_ok": True,   # _measure_phase raises otherwise
         "malformed_responses": 0,  # ditto
         "overload": overload,

@@ -62,7 +62,6 @@ class EvaluationService:
                  cache: ResultCache | str | Path | None = None,
                  executor: str = "serial",
                  max_workers: int | None = None,
-                 serialize_batches: bool = False,
                  job_timeout: float | None = None,
                  max_retries: int = 0,
                  fault_plan=None,
@@ -103,10 +102,6 @@ class EvaluationService:
         # batch of cache hits or analytic grid points never queues
         # behind another batch's slow simulation.
         self._dispatch_lock = threading.Lock()
-        # Legacy behaviour (and the loadgen benchmark's baseline): one
-        # batch at a time, end to end, like the old global submit lock.
-        self._serialize_lock = (threading.Lock() if serialize_batches
-                                else None)
 
     # -- ingest passthrough --------------------------------------------------
 
@@ -127,13 +122,7 @@ class EvaluationService:
         memos and the result cache, and only the simulated-backend
         executor dispatch is serialized (see ``_dispatch_lock``).
         """
-        if self._serialize_lock is not None:
-            with self._serialize_lock:
-                return self._submit_timed(list(requests))
-        return self._submit_timed(list(requests))
-
-    def _submit_timed(self, requests: list[EvaluationRequest]
-                      ) -> BatchResponse:
+        requests = list(requests)
         start = time.perf_counter()
         with obs.span("service.submit", requests=len(requests)):
             response = self._submit_body(requests)

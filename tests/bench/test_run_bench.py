@@ -34,6 +34,18 @@ def test_smoke_snapshot_shape(tmp_path):
     assert grid["points_per_s_per_point"] > 0
     assert grid["speedup_grid_vs_per_point"] > 0
 
+    # The loadgen-smoke CI leg's contracts, on the same run.
+    serving = snapshot["benchmarks"]["serving_loadgen"]
+    assert serving["identity_ok"] is True
+    assert serving["malformed_responses"] == 0
+    concurrent = serving["concurrent"]
+    assert concurrent["connections"] <= concurrent["clients"] + 2
+    overload = serving["overload"]
+    assert overload["rejected_429"] >= 1
+    assert overload["retry_after_present"] is True
+    assert overload["slowest_reject_ms"] < \
+        overload["socket_timeout_s"] * 1e3
+
     overhead = snapshot["benchmarks"]["obs_overhead_cold_sweep"]
     assert overhead["wall_s_uninstrumented"] > 0
     assert overhead["wall_s_instrumented"] > 0

@@ -94,11 +94,10 @@ def serve(service, **knobs):
 
 class TestConcurrentIdentity:
     def test_threaded_submissions_match_serial(self, tmp_path):
-        # Serial reference from a serialize_batches service — the
-        # legacy one-at-a-time behaviour, on its own registry/cache.
+        # Serial reference: a plain service on its own registry/cache,
+        # submitting one batch at a time.
         serial = EvaluationService(tmp_path / "serial-reg",
-                                   cache=tmp_path / "serial-cache",
-                                   serialize_batches=True)
+                                   cache=tmp_path / "serial-cache")
         ref = serial.ingest_sample("kernel6").ref
         batches = overlapping_batches(ref)
         reference = [[canonical(r) for r in serial.submit(b).results]
