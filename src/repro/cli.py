@@ -650,8 +650,6 @@ def _run_sweep_from_args(args, progress=print):
         placement=args.placement,
         latencies=_parse_float_list(args.latency, "latency"),
         bandwidths=_parse_float_list(args.bandwidth, "bandwidth"),
-        job_timeout=args.job_timeout,
-        max_retries=args.max_retries,
     )
     durable = getattr(args, "fsync", False)
     cache = (ResultCache(args.cache_dir, durable=durable)
@@ -668,7 +666,8 @@ def _run_sweep_from_args(args, progress=print):
     executor = "process" if args.jobs > 0 else "serial"
     return run_sweep(spec, cache=cache, executor=executor,
                      max_workers=args.jobs or None, progress=progress,
-                     campaign=campaign)
+                     job_timeout=args.job_timeout,
+                     max_retries=args.max_retries, campaign=campaign)
 
 
 def _cmd_sweep(args) -> int:

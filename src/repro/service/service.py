@@ -33,7 +33,7 @@ from repro.service.batcher import plan_batch
 from repro.service.registry import ModelRecord, ModelRegistry
 from repro.service.request import EvaluationRequest
 from repro.sweep.cache import CacheStats, ResultCache
-from repro.sweep.runner import run_jobs
+from repro.sweep.runner import run_jobs, validate_fault_knobs
 
 #: Keys of a successful per-request result payload (the deterministic
 #: part a client may byte-compare; metadata keys sit next to them).
@@ -86,6 +86,8 @@ class EvaluationService:
         # Fault-tolerance knobs, forwarded to run_jobs per batch: a
         # per-job wall-clock deadline (pool executors), a transient
         # retry budget, and an optional fault plan (chaos tests only).
+        # Checked here, so a bad value fails at start-up, not per batch.
+        validate_fault_knobs(job_timeout, max_retries)
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.fault_plan = fault_plan

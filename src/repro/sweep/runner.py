@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import inspect
+import math
 import os
 import random
 import threading
@@ -583,6 +584,25 @@ def make_executor(executor: str | object,
     return executor
 
 
+def validate_fault_knobs(job_timeout: float | None,
+                         max_retries: int) -> None:
+    """Refuse a deadline that is not a positive finite number of
+    seconds, or a retry budget that is not a non-negative integer
+    (a bool is neither)."""
+    if job_timeout is not None and (
+            isinstance(job_timeout, bool)
+            or not isinstance(job_timeout, (int, float))
+            or not math.isfinite(job_timeout) or job_timeout <= 0):
+        raise ProphetError(
+            f"job_timeout must be a positive finite number of seconds, "
+            f"got {job_timeout!r}")
+    if isinstance(max_retries, bool) or not isinstance(max_retries, int) \
+            or max_retries < 0:
+        raise ProphetError(
+            f"max_retries must be a non-negative integer, got "
+            f"{max_retries!r}")
+
+
 def _run_executor(runner, jobs: Sequence[SweepJob],
                   on_outcome: Callable[[SweepJob, dict], None],
                   models: Resolutions | None = None) -> list[dict]:
@@ -663,12 +683,7 @@ def run_jobs(jobs: Sequence[SweepJob],
     receives exactly this call's cache outcomes (see
     :meth:`repro.sweep.cache.ResultCache.get`).
     """
-    if max_retries < 0:
-        raise ProphetError(
-            f"max_retries must be >= 0, got {max_retries!r}")
-    if job_timeout is not None and not job_timeout > 0:
-        raise ProphetError(
-            f"job_timeout must be > 0 seconds, got {job_timeout!r}")
+    validate_fault_knobs(job_timeout, max_retries)
     if max_workers is not None and max_workers < 1:
         raise ProphetError(
             f"max_workers must be >= 1 (or None for one per CPU), got "
@@ -908,30 +923,18 @@ def run_sweep(spec: SweepSpec | Iterable[SweepJob],
               progress: Callable[[str], None] | None = None,
               preflight: bool = True,
               job_timeout: float | None = None,
-              max_retries: int | None = None,
+              max_retries: int = 0,
               retry_policy: RetryPolicy | None = None,
               fault_plan: "faults.FaultPlan | None" = None,
               campaign: Campaign | None = None) -> SweepResult:
-    """Expand ``spec`` (if needed) and execute the grid.
-
-    ``job_timeout``/``max_retries`` default to the spec's own knobs
-    (``None`` means "inherit"); explicit arguments win.
-    """
-    if isinstance(spec, SweepSpec):
-        if job_timeout is None:
-            job_timeout = spec.job_timeout
-        if max_retries is None:
-            max_retries = spec.max_retries
-        jobs = expand(spec)
-    else:
-        jobs = list(spec)
+    """Expand ``spec`` (if needed) and execute the grid (see
+    :func:`run_jobs` for the options)."""
+    jobs = expand(spec) if isinstance(spec, SweepSpec) else list(spec)
     return run_jobs(jobs, cache=cache, executor=executor,
                     max_workers=max_workers, progress=progress,
-                    preflight=preflight,
-                    job_timeout=job_timeout,
-                    max_retries=max_retries or 0,
-                    retry_policy=retry_policy, fault_plan=fault_plan,
-                    campaign=campaign)
+                    preflight=preflight, job_timeout=job_timeout,
+                    max_retries=max_retries, retry_policy=retry_policy,
+                    fault_plan=fault_plan, campaign=campaign)
 
 
 __all__ = [
@@ -939,5 +942,5 @@ __all__ = [
     "PREFLIGHT_OP_BUDGET", "ProcessPoolExecutor", "RetryPolicy",
     "SerialExecutor", "clear_preflight_memo", "clear_worker_memos",
     "execute_job", "make_executor", "pool_dispatch", "run_jobs",
-    "run_sweep", "shutdown_shared_pool",
+    "run_sweep", "shutdown_shared_pool", "validate_fault_knobs",
 ]

@@ -133,13 +133,6 @@ class SweepSpec:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     latencies: Sequence[float] = ()
     bandwidths: Sequence[float] = ()
-    #: Per-job wall-clock deadline in seconds for pool executors
-    #: (None = no deadline); a hung worker yields a ``timeout`` result
-    #: and a recycled worker instead of a stalled sweep.
-    job_timeout: float | None = None
-    #: Re-dispatches after a transient failure (exponential backoff +
-    #: jitter); 0 = fail on first transient.
-    max_retries: int = 0
 
     def normalize(self) -> None:
         """Materialize every axis into a list.
@@ -204,20 +197,6 @@ class SweepSpec:
             if not values:
                 raise SweepSpecError(
                     f"override axis {name!r} has no values")
-        if self.job_timeout is not None:
-            if isinstance(self.job_timeout, bool) or \
-                    not isinstance(self.job_timeout, (int, float)) or \
-                    not math.isfinite(self.job_timeout) or \
-                    self.job_timeout <= 0:
-                raise SweepSpecError(
-                    f"job_timeout must be a positive finite number of "
-                    f"seconds, got {self.job_timeout!r}")
-        if isinstance(self.max_retries, bool) or \
-                not isinstance(self.max_retries, int) or \
-                self.max_retries < 0:
-            raise SweepSpecError(
-                f"max_retries must be a non-negative integer, got "
-                f"{self.max_retries!r}")
         for name, values, minimum in (
                 ("latencies", self.latencies, 0.0),
                 ("bandwidths", self.bandwidths, None)):

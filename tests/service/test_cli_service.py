@@ -60,6 +60,14 @@ class TestServeParser:
         assert service.executor == "process"
         assert service.max_workers == 2
 
+    def test_an_infinite_deadline_fails_at_start_up(self, tmp_path):
+        from repro.errors import ProphetError
+        args = build_parser().parse_args(
+            ["serve", "--registry", str(tmp_path / "r"), "--port", "0",
+             "--job-timeout", "inf"])
+        with pytest.raises(ProphetError, match="job_timeout must be"):
+            build_service_server(args)
+
 
 class TestSubmit:
     def test_submit_by_label(self, live_server, capsys):

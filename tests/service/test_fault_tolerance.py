@@ -1,6 +1,7 @@
 """Service-tier fault tolerance: client retries, window crash safety,
 and the deadline/retry knobs plumbed through the evaluation service."""
 
+import math
 import threading
 
 import pytest
@@ -171,6 +172,14 @@ def _raise_runtime_error(*_args, **_kwargs):
 
 
 class TestServiceKnobs:
+    @pytest.mark.parametrize("knobs", [{"job_timeout": math.inf},
+                                       {"job_timeout": True},
+                                       {"max_retries": -1}])
+    def test_bad_knobs_fail_at_construction(self, tmp_path, knobs):
+        from repro.errors import ProphetError
+        with pytest.raises(ProphetError, match="must be"):
+            EvaluationService(tmp_path / "registry", **knobs)
+
     def test_retry_budget_recovers_a_transient_batch(self, tmp_path):
         plan = FaultPlan(faults={0: Fault("raise", once=True)},
                          state_dir=str(tmp_path / "state"))

@@ -9,6 +9,7 @@ bit-for-bit.
 """
 
 import concurrent.futures
+import math
 
 import pytest
 
@@ -289,6 +290,25 @@ class TestPersistentGuards:
         finally:
             shutdown_shared_pool()
         assert all(r.ok for r in result)
+
+
+class TestKnobValidation:
+    """One check for the fault knobs: a deadline is a positive finite
+    number of seconds and a retry budget a non-negative integer; a
+    bool is neither."""
+
+    @pytest.mark.parametrize("job_timeout",
+                             [True, math.inf, math.nan, 0, -1.0, "5"])
+    def test_bad_deadline_refused(self, job_timeout):
+        from repro.errors import ProphetError
+        with pytest.raises(ProphetError, match="job_timeout must be"):
+            run_sweep(kernel_spec(), job_timeout=job_timeout)
+
+    @pytest.mark.parametrize("max_retries", [True, -1, 1.5])
+    def test_bad_retry_budget_refused(self, max_retries):
+        from repro.errors import ProphetError
+        with pytest.raises(ProphetError, match="max_retries must be"):
+            run_sweep(kernel_spec(), max_retries=max_retries)
 
 
 class TestDeterministicChaos:

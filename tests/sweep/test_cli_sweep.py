@@ -137,6 +137,11 @@ class TestNetworkAxesAndGridFlags:
         assert code == 0
         assert "serial executor" in capsys.readouterr().out
 
+    def test_infinite_deadline_rejected(self, capsys):
+        assert main(["sweep", "--kind", "kernel6", "--no-table",
+                     "--job-timeout", "inf"]) == 2
+        assert "job_timeout must be" in capsys.readouterr().err
+
     def test_bad_latency_list_rejected(self, capsys):
         assert main(["sweep", "--kind", "kernel6",
                      "--latency", "fast"]) == 2
