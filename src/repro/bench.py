@@ -19,12 +19,6 @@ generators, serial-executor defaults); wall times are best-of-``repeats``
 to shave scheduler noise.  Numbers are machine-relative — compare
 within one snapshot's fields, or across snapshots from the same machine
 (CI runners are close enough for trend lines, not for microbenchmarks).
-
-``PRE_PR_REFERENCE`` pins the wall time of the *pre-overhaul* code
-(PR 3, full-trace recording, per-job XML dispatch, dataclass-command
-kernel) on the machine that produced the first committed snapshot, so
-that snapshot records the measured speedup of the hot-path overhaul
-rather than a number nobody can reproduce.
 """
 
 from __future__ import annotations
@@ -42,18 +36,6 @@ from repro.errors import ProphetError
 #: 2: the snapshot file became a trajectory ({schema, history: [...]}),
 #:    and the analytic-grid benchmark + identity check joined.
 BENCH_SCHEMA = 2
-
-#: Wall seconds of the identical workload on the pre-overhaul code
-#: (commit 8dc583b, the PR-3 tree: full-trace recording, per-job XML
-#: dispatch, dataclass-command kernel), measured back-to-back with the
-#: overhauled code on the machine that produced the first committed
-#: snapshot (best of 5, serial executor — like-for-like with
-#: ``wall_s_summary``).
-PRE_PR_REFERENCE = {
-    "machine": "first-snapshot dev container (Linux, CPython 3.11)",
-    "measured_at_commit": "8dc583b",
-    "cold_sweep_3scenario_full_trace_wall_s": 0.910,
-}
 
 #: Hard ceiling on the instrumented/uninstrumented wall-time ratio of
 #: the headline cold sweep — the observability harness (detail gate,
@@ -223,20 +205,13 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
     #    over three scenarios on both simulated backends, recording at
     #    the sweep's summary tier.
     summary_wall, events = _best(lambda: _cold_sweep(models), repeats)
-    entry = {
+    benchmarks["cold_sweep_3scenario"] = {
         "description": "cold 3-scenario sweep, serial, codegen+interp, "
                        "processes 2 and 4",
         "events": events,
         "wall_s_summary": round(summary_wall, 4),
         "events_per_s_summary": round(events / summary_wall),
     }
-    reference = PRE_PR_REFERENCE.get(
-        "cold_sweep_3scenario_full_trace_wall_s")
-    if reference and not smoke:
-        entry["pre_pr_full_trace_wall_s"] = reference
-        entry["speedup_vs_pre_pr_full_trace"] = round(
-            reference / summary_wall, 3)
-    benchmarks["cold_sweep_3scenario"] = entry
 
     # 2. Per-tier estimator kernel throughput (transform cost excluded:
     #    the prepared-model memo is warm, so this isolates the event
@@ -464,7 +439,6 @@ def run_benchmarks(smoke: bool = False, repeats: int = 3,
         "repeats": repeats,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "pre_pr_reference": PRE_PR_REFERENCE,
         "benchmarks": benchmarks,
     }
 

