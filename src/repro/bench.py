@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import platform
-import sys
 import time
 from pathlib import Path
 
@@ -656,8 +655,8 @@ def run_and_report(output: str | Path, smoke: bool = False,
                    loadgen: bool = True) -> int:
     """Run the harness, print the table, append to the trajectory.
 
-    The one body behind both ``prophet bench`` and
-    ``benchmarks/run_bench.py``.
+    The body of ``prophet bench`` (``benchmarks/run_bench.py`` runs
+    that command).
     """
     # Validate the trajectory file up front: a corrupt file must fail
     # before the multi-minute benchmark run, not after it.
@@ -675,37 +674,3 @@ def run_and_report(output: str | Path, smoke: bool = False,
                                               obs.global_registry())
         print(f"wrote metrics to {metrics_path}")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="run_bench", description="estimator/sweep benchmark harness")
-    parser.add_argument("-o", "--output", default="BENCH_estimator.json",
-                        help="snapshot path (default BENCH_estimator.json)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workloads (CI's bench-smoke leg)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N timing repeats (default 3)")
-    parser.add_argument("--no-pool", action="store_true",
-                        help="skip the process-pool benchmark")
-    parser.add_argument("--no-loadgen", action="store_true",
-                        help="skip the concurrent-serving loadgen "
-                             "benchmark")
-    parser.add_argument("--metrics-out", metavar="FILE",
-                        help="write the run's metrics export here "
-                             "(.prom/.txt = Prometheus text, anything "
-                             "else = JSON)")
-    args = parser.parse_args(argv)
-    try:
-        return run_and_report(args.output, smoke=args.smoke,
-                              repeats=args.repeats, pool=not args.no_pool,
-                              metrics_out=args.metrics_out,
-                              loadgen=not args.no_loadgen)
-    except ProphetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
