@@ -1,6 +1,6 @@
 """Trace tiers: recording is observation, never behavior.
 
-The sweep engine runs at ``trace="summary"`` by default; these tests pin
+Sweeps and serving always record at ``trace="summary"``; these tests pin
 the contract that makes that safe: predicted time and event counts are
 byte-identical across tiers, and the ``summary`` recorder preserves the
 ``full`` tier's record counts exactly (the cached ``trace_records``
